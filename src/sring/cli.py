@@ -5,8 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import SRing, a_subgroups, closure
 from .duality import dual_sring
@@ -39,10 +38,8 @@ class AnalysisReport:
     quasidense: bool
     witness: ProjClass | None
     separability: SeparabilityReport
-    timings: dict[str, float] = field(compare=False)
 
     def to_json_dict(self) -> dict:
-        # Timings are deliberately omitted so output stays byte-identical.
         data = {
             "n": self.n,
             "rank": self.rank,
@@ -64,20 +61,12 @@ class AnalysisReport:
 
 def analyze(a: SRing) -> AnalysisReport:
     """Assemble the full structural report for one ring."""
-    timings: dict[str, float] = {}
-
-    def timed(key, func, *args):
-        t0 = time.perf_counter()
-        out = func(*args)
-        timings[key] = time.perf_counter() - t0
-        return out
-
-    sections = timed("sections", ring_sections, a)
-    principal = timed("principal", principal_sections, a)
-    distinguished = timed("frs0", frs0, a)
-    quasidense = timed("quasidense", is_quasidense, a)
-    witness = None if quasidense else timed("witness", singular_witness, a)[0]
-    _, report = timed("separability", is_separable, a)
+    sections = ring_sections(a)
+    principal = principal_sections(a)
+    distinguished = frs0(a)
+    quasidense = is_quasidense(a)
+    witness = None if quasidense else singular_witness(a)[0]
+    _, report = is_separable(a)
     return AnalysisReport(
         n=a.n,
         rank=a.rank,
@@ -88,7 +77,6 @@ def analyze(a: SRing) -> AnalysisReport:
         quasidense=quasidense,
         witness=witness,
         separability=report,
-        timings=timings,
     )
 
 
@@ -318,6 +306,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except SRingError as exc:
         print(f"input error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -159,7 +159,17 @@ class SRing:
             classes = data["classes"]
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed S-ring object: {exc}") from exc
+        if not _is_int(n):
+            raise ValidationError(f"group order must be an integer, got {n!r}")
+        if not isinstance(classes, list) or not all(
+            isinstance(c, list) and all(_is_int(x) for x in c) for c in classes
+        ):
+            raise ValidationError("classes must be a list of lists of integers")
         return cls(n, classes, check=check)
+
+
+def _is_int(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def validate(n: int, classes: Iterable[Iterable[int]]) -> SRing:

@@ -3,14 +3,17 @@
 A multiplier assigns to every distinguished section a unit of its order,
 consistently under taking subsections and under projective transport.  An
 outer multiplier assigns instead a coset of the section's class-stabilizing
-units.  Separability of a quasidense ring is equivalent to every outer
-multiplier being covered by a plain multiplier.
+units.  Both are families of cosets of one class, :class:`Multiplier`; a
+multiplier is the family whose stabilizers are all trivial.  Separability of
+a quasidense ring is equivalent to every outer multiplier being covered by a
+plain multiplier.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from math import gcd
+from typing import Callable, Iterable, Optional
 
 from .core import SRing
 from .errors import TheoryViolation
@@ -68,33 +71,51 @@ def _is_subsection(child: Section, parent: Section) -> bool:
 
 
 class Multiplier:
-    """A consistent choice of one unit per distinguished section."""
+    """A consistent choice of one stabilizer coset per distinguished section.
 
-    def __init__(self, entries: Iterable[tuple[Section, int]]):
-        self.entries = tuple(sorted(entries))
-        self._by_section = dict(self.entries)
+    Entries are ``(section, stabilizer, unit)`` triples, and each coset is
+    the stabilizer times the unit modulo the section order.  A multiplier is
+    the family whose stabilizer is ``(1,)`` at every section, so that every
+    coset is one unit; an outer multiplier takes the class-stabilizing units
+    of each section instead.
+    """
+
+    def __init__(self, entries: Iterable[tuple[Section, tuple[int, ...], int]]):
+        self.entries = tuple(
+            sorted(
+                (s, tuple(sorted(stab)), min(unit_mod(e * rep, s.m) for e in stab))
+                for s, stab, rep in entries
+            )
+        )
+        self._by_section = {entry[0]: entry for entry in self.entries}
+
+    def coset_for(self, s: Section) -> frozenset[int]:
+        _, stab, rep = self._by_section[s]
+        return frozenset(unit_mod(e * rep, s.m) for e in stab)
 
     def unit_for(self, s: Section) -> int:
-        return self._by_section[s]
+        """The smallest unit of the coset at ``s``."""
+        return self._by_section[s][2]
 
     @property
     def sections(self) -> tuple[Section, ...]:
-        return tuple(s for s, _ in self.entries)
+        return tuple(s for s, _, _ in self.entries)
 
     def canonical_vector(self) -> tuple[int, ...]:
-        return tuple(k for _, k in self.entries)
+        return tuple(rep for _, _, rep in self.entries)
 
     def __mul__(self, other: "Multiplier") -> "Multiplier":
         if self.sections != other.sections:
             raise ValueError("multipliers are defined over different section families")
         return Multiplier(
-            (s, unit_mod(k * other.unit_for(s), s.m)) for s, k in self.entries
+            (s, stab, unit_mod(rep * other.unit_for(s), s.m))
+            for s, stab, rep in self.entries
         )
 
     def inverse(self) -> "Multiplier":
         return Multiplier(
-            (s, unit_mod(pow(k, -1, s.m), s.m) if s.m > 1 else 1)
-            for s, k in self.entries
+            (s, stab, pow(rep, -1, s.m) if s.m > 1 else 1)
+            for s, stab, rep in self.entries
         )
 
     def __eq__(self, other: object) -> bool:
@@ -104,57 +125,10 @@ class Multiplier:
         return hash(self.entries)
 
     def __repr__(self) -> str:
-        body = ", ".join(f"({s.l},{s.u})->{k}" for s, k in self.entries)
-        return f"Multiplier[{body}]"
-
-    def to_json_list(self) -> list[dict]:
-        return [{"l": s.l, "u": s.u, "k": k} for s, k in self.entries]
-
-
-class OuterMultiplier:
-    """A consistent choice of one stabilizer coset per distinguished section."""
-
-    def __init__(self, entries: Iterable[tuple[Section, tuple[int, ...], int]]):
-        canon = []
-        for s, stab, rep in entries:
-            coset = frozenset(unit_mod(e * rep, s.m) for e in stab)
-            canon.append((s, tuple(sorted(stab)), min(coset), coset))
-        canon.sort()
-        self.entries = tuple((s, stab, rep) for s, stab, rep, _ in canon)
-        self._cosets = {s: coset for s, _, _, coset in canon}
-
-    def coset_for(self, s: Section) -> frozenset[int]:
-        return self._cosets[s]
-
-    def rep_for(self, s: Section) -> int:
-        return min(self._cosets[s])
-
-    @property
-    def sections(self) -> tuple[Section, ...]:
-        return tuple(s for s, _, _ in self.entries)
-
-    def canonical_vector(self) -> tuple[int, ...]:
-        return tuple(rep for _, _, rep in self.entries)
-
-    def __mul__(self, other: "OuterMultiplier") -> "OuterMultiplier":
-        if self.sections != other.sections:
-            raise ValueError("outer multipliers are defined over different section families")
-        return OuterMultiplier(
-            (s, stab, unit_mod(rep * other.rep_for(s), s.m))
-            for s, stab, rep in self.entries
-        )
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, OuterMultiplier) and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
-    def __repr__(self) -> str:
         body = ", ".join(
-            f"({s.l},{s.u})->{sorted(self._cosets[s])}" for s, _, _ in self.entries
+            f"({s.l},{s.u})->{sorted(self.coset_for(s))}" for s, _, _ in self.entries
         )
-        return f"OuterMultiplier[{body}]"
+        return f"Multiplier[{body}]"
 
     def to_json_list(self) -> list[dict]:
         return [
@@ -163,40 +137,59 @@ class OuterMultiplier:
         ]
 
 
+OuterMultiplier = Multiplier
+
+_TRIVIAL = (1,)
+
+
 # -- enumeration -------------------------------------------------------------
 
 
-def _ordered_sections(a: SRing) -> list[Section]:
-    return sorted(frs0(a), key=lambda s: (-s.m, s.l, s.u))
+def _compatible(
+    s: Section,
+    rep: int,
+    chosen: dict[Section, int],
+    canon: dict[Section, dict[int, int]],
+    stabs: dict[Section, tuple[int, ...]],
+    comp,
+) -> bool:
+    """Whether the coset of ``rep`` at ``s`` agrees with every coset chosen so far.
 
-
-def _multiplier_compatible(s: Section, k: int, chosen: dict[Section, int], comp) -> bool:
-    for t, kt in chosen.items():
-        if _is_subsection(s, t) and unit_mod(kt, s.m) != k:
+    ``canon[s]`` maps each unit modulo ``s.m`` to the smallest unit of its
+    coset, so coset membership is a comparison of integers.  Sections are
+    chosen in order of decreasing order m, and a proper subsection has a
+    smaller order, so no chosen section is a subsection of ``s``.
+    """
+    for t, rep_t in chosen.items():
+        if _is_subsection(s, t) and canon[s][unit_mod(rep_t, s.m)] != rep:
             return False
-        if _is_subsection(t, s) and unit_mod(k, t.m) != kt:
-            return False
-        if comp[s] == comp[t] and k != kt:
+        if comp[s] == comp[t] and (rep != rep_t or stabs[s] != stabs[t]):
             return False
     return True
 
 
-def mult_group(a: SRing) -> list[Multiplier]:
-    """All multipliers of a quasidense ring, in canonical order."""
+def _families(a: SRing, stab_of: Callable[[Section], tuple[int, ...]]) -> list[Multiplier]:
+    """All consistent coset families with stabilizer ``stab_of(s)`` at each section."""
     if not is_quasidense(a):
         raise ValueError("multiplier enumeration requires a quasidense ring")
-    secs = _ordered_sections(a)
+    secs = sorted(frs0(a), key=lambda s: (-s.m, s.l, s.u))
     comp = _proj_component(a.n)
+    stabs = {s: stab_of(s) for s in secs}
+    canon = {
+        s: {k: min(unit_mod(k * e, s.m) for e in stabs[s]) for k in units(s.m).elements}
+        for s in secs
+    }
+    reps = {s: sorted(set(canon[s].values())) for s in secs}
     out: list[Multiplier] = []
 
     def extend(idx: int, chosen: dict[Section, int]) -> None:
         if idx == len(secs):
-            out.append(Multiplier(chosen.items()))
+            out.append(Multiplier((s, stabs[s], chosen[s]) for s in secs))
             return
         s = secs[idx]
-        for k in units(s.m).elements:
-            if _multiplier_compatible(s, k, chosen, comp):
-                chosen[s] = k
+        for rep in reps[s]:
+            if _compatible(s, rep, chosen, canon, stabs, comp):
+                chosen[s] = rep
                 extend(idx + 1, chosen)
                 del chosen[s]
 
@@ -204,102 +197,59 @@ def mult_group(a: SRing) -> list[Multiplier]:
     return sorted(out, key=Multiplier.canonical_vector)
 
 
-def _outer_compatible(
-    s: Section,
-    coset: frozenset[int],
-    chosen: dict[Section, tuple[int, frozenset[int]]],
-    comp,
-) -> bool:
-    rep = min(coset)
-    for t, (rep_t, coset_t) in chosen.items():
-        if _is_subsection(s, t) and unit_mod(rep_t, s.m) not in coset:
-            return False
-        if _is_subsection(t, s) and unit_mod(rep, t.m) not in coset_t:
-            return False
-        if comp[s] == comp[t] and coset != coset_t:
-            return False
-    return True
+def mult_group(a: SRing) -> list[Multiplier]:
+    """All multipliers of a quasidense ring, in canonical order."""
+    return _families(a, lambda s: _TRIVIAL)
 
 
-def fmult_group(a: SRing) -> list[OuterMultiplier]:
+def fmult_group(a: SRing) -> list[Multiplier]:
     """All outer multipliers of a quasidense ring, in canonical order."""
-    if not is_quasidense(a):
-        raise ValueError("outer multiplier enumeration requires a quasidense ring")
-    secs = _ordered_sections(a)
-    comp = _proj_component(a.n)
-    stabs = {s: aut_stabilizer(a, s).elements for s in secs}
-    cosets: dict[Section, list[frozenset[int]]] = {}
-    for s in secs:
-        seen: list[frozenset[int]] = []
-        for k in units(s.m).elements:
-            cs = frozenset(unit_mod(k * e, s.m) for e in stabs[s])
-            if cs not in seen:
-                seen.append(cs)
-        cosets[s] = seen
-    out: list[OuterMultiplier] = []
-
-    def extend(idx: int, chosen: dict[Section, tuple[int, frozenset[int]]]) -> None:
-        if idx == len(secs):
-            out.append(
-                OuterMultiplier(
-                    (s, stabs[s], chosen[s][0]) for s in secs
-                )
-            )
-            return
-        s = secs[idx]
-        for coset in cosets[s]:
-            if _outer_compatible(s, coset, chosen, comp):
-                chosen[s] = (min(coset), coset)
-                extend(idx + 1, chosen)
-                del chosen[s]
-
-    extend(0, {})
-    return sorted(out, key=OuterMultiplier.canonical_vector)
+    return _families(a, lambda s: aut_stabilizer(a, s).elements)
 
 
 # -- validation and the quotient map -----------------------------------------
 
 
-def is_valid_multiplier(a: SRing, mu: Multiplier) -> bool:
+def _is_family(
+    a: SRing, fam: Multiplier, stab_of: Callable[[Section], tuple[int, ...]]
+) -> bool:
     """Pairwise restriction and transport checks over the full section family."""
     comp = _proj_component(a.n)
-    secs = mu.sections
-    if set(secs) != set(frs0(a)):
+    if set(fam.sections) != set(frs0(a)):
         return False
-    for s in secs:
-        if unit_mod(mu.unit_for(s), s.m) != mu.unit_for(s) or mu.unit_for(s) not in units(s.m):
-            return False
-        for t in secs:
-            if _is_subsection(s, t) and unit_mod(mu.unit_for(t), s.m) != mu.unit_for(s):
-                return False
-            if comp[s] == comp[t] and mu.unit_for(s) != mu.unit_for(t):
-                return False
-    return True
-
-
-def is_valid_outer_multiplier(a: SRing, om: OuterMultiplier) -> bool:
-    comp = _proj_component(a.n)
-    secs = om.sections
-    if set(secs) != set(frs0(a)):
-        return False
-    for s in secs:
-        if om.coset_for(s) != frozenset(
-            unit_mod(e * om.rep_for(s), s.m) for e in aut_stabilizer(a, s).elements
+    rows = []
+    for s, _, rep in fam.entries:
+        coset = fam.coset_for(s)
+        if gcd(rep, s.m) != 1 or coset != frozenset(
+            unit_mod(e * rep, s.m) for e in stab_of(s)
         ):
             return False
-        for t in secs:
-            if _is_subsection(s, t):
-                if any(unit_mod(k, s.m) not in om.coset_for(s) for k in om.coset_for(t)):
+        rows.append((s.l, s.u, s.m, comp[s], coset))
+    for l, u, m, c, coset in rows:
+        for l_t, u_t, _, c_t, coset_t in rows:
+            # (l, u) is a subsection of (l_t, u_t)
+            if l % l_t == 0 and u_t % u == 0:
+                if any(unit_mod(k, m) not in coset for k in coset_t):
                     return False
-            if comp[s] == comp[t] and om.coset_for(s) != om.coset_for(t):
+            if c == c_t and coset != coset_t:
                 return False
     return True
 
 
-def theta(a: SRing, mu: Multiplier) -> OuterMultiplier:
+def is_valid_multiplier(a: SRing, mu: Multiplier) -> bool:
+    """Whether ``mu`` is a multiplier: a consistent family of single units."""
+    return _is_family(a, mu, lambda s: _TRIVIAL)
+
+
+def is_valid_outer_multiplier(a: SRing, om: Multiplier) -> bool:
+    """Whether ``om`` is a consistent family of class-stabilizer cosets."""
+    return _is_family(a, om, lambda s: aut_stabilizer(a, s).elements)
+
+
+def theta(a: SRing, mu: Multiplier) -> Multiplier:
     """Project a multiplier to the outer multiplier of its stabilizer cosets."""
-    om = OuterMultiplier(
-        (s, aut_stabilizer(a, s).elements, k) for s, k in mu.entries
+    om = Multiplier(
+        (s, aut_stabilizer(a, s).elements, k) for s, _, k in mu.entries
     )
     if not is_valid_outer_multiplier(a, om):  # pragma: no cover - theory
         raise TheoryViolation(f"projection of {mu!r} is not an outer multiplier")
@@ -320,7 +270,7 @@ class SeparabilityReport:
     mult_order: int
     fmult_order: int
     theta_image_order: int
-    missing: Optional[OuterMultiplier] = field(default=None)
+    missing: Optional[Multiplier] = field(default=None)
 
     def to_json_dict(self) -> dict:
         return {
@@ -343,7 +293,7 @@ def is_separable(a: SRing) -> tuple[bool, SeparabilityReport]:
     image = {theta(reduct, mu) for mu in mult}
     missing = sorted(
         (om for om in fmult if om not in image),
-        key=OuterMultiplier.canonical_vector,
+        key=Multiplier.canonical_vector,
     )
     separable = not missing
     report = SeparabilityReport(

@@ -16,7 +16,7 @@ from typing import Optional
 from .core import SRing, generated, radical
 from .errors import NoInducingUnit, NotASection, ReconstructionFailed, TheoryViolation
 from .modarith import units
-from .multipliers import OuterMultiplier, aut_stabilizer, is_valid_outer_multiplier
+from .multipliers import Multiplier, aut_stabilizer, is_valid_outer_multiplier
 from .sections import Section, frs0, is_quasidense, restrict_to
 
 __all__ = [
@@ -230,7 +230,7 @@ def inducing_unit(a_s: SRing, psi: Similarity) -> Optional[int]:
     return None
 
 
-def fs_of(a: SRing, phi: Similarity) -> OuterMultiplier:
+def fs_of(a: SRing, phi: Similarity) -> Multiplier:
     """The outer multiplier collecting the units inducing ``phi`` on each section.
 
     Requires a quasidense ring; every restriction of a similarity of such a
@@ -246,13 +246,13 @@ def fs_of(a: SRing, phi: Similarity) -> OuterMultiplier:
         if k is None:
             raise NoInducingUnit(f"restriction to {s} is not induced by any unit")
         entries.append((s, aut_stabilizer(a, s).elements, k))
-    om = OuterMultiplier(entries)
+    om = Multiplier(entries)
     if not is_valid_outer_multiplier(a, om):  # pragma: no cover - theory
         raise TheoryViolation(f"extracted family of {phi} is not an outer multiplier")
     return om
 
 
-def similarity_from_outer(a: SRing, om: OuterMultiplier) -> Similarity:
+def similarity_from_outer(a: SRing, om: Multiplier) -> Similarity:
     """Reassemble a similarity from an outer multiplier, classwise.
 
     Each class is pushed through the canonical coordinates of its own
@@ -266,7 +266,7 @@ def similarity_from_outer(a: SRing, om: OuterMultiplier) -> Similarity:
     cmap = []
     for cls in a.classes:
         p = Section(a.n, radical(a.n, cls), generated(a.n, cls))
-        k = om.rep_for(p)
+        k = om.unit_for(p)
         step = a.n // p.u
         m = p.m
         image_coords = {(k * (x // step)) % m for x in cls}

@@ -79,6 +79,9 @@ def _describe(a: SRing) -> str:
 def _sweep(
     suite: str, max_n: int, ns: Iterable[int], body: Callable[[int], str]
 ) -> SuiteResult:
+    ns = list(ns)
+    if not ns:
+        raise ValueError(f"suite {suite} checks no n up to {max_n}")
     checks = []
     for n in ns:
         try:

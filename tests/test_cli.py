@@ -49,6 +49,24 @@ def test_validate_rejects_malformed_json(tmp_path, capsys):
     assert code == 2 and "input error" in err
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"n": 4.9, "classes": [[0], [1, 3], [2]]},
+        {"n": True, "classes": [[0]]},
+        {"n": 4, "classes": "0123"},
+        {"n": 2, "classes": [[0], [0.7]]},
+    ],
+    ids=["float-n", "bool-n", "string-classes", "float-element"],
+)
+def test_validate_rejects_non_integer_json(tmp_path, capsys, data):
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert "ValidationError" in err and "integer" in err
+
+
 def test_missing_file_is_input_error(capsys):
     code, out, err = run(capsys, "validate", "/no/such/file.json")
     assert code == 2
@@ -73,6 +91,12 @@ def test_closure_with_seed_sets(capsys):
 def test_closure_rejects_bad_seed_sets(capsys):
     code, out, err = run(capsys, "closure", "6", "--seed-sets", "1,x")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [("closure", "0"), ("enumerate", "-1")])
+def test_nonpositive_order_is_input_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and "input error" in err
 
 
 def test_analyze_json(ring_file, capsys):
@@ -161,6 +185,15 @@ def test_verify_suite_pass(capsys):
 def test_verify_limit_exceeded(capsys):
     code, out, err = run(capsys, "verify", "oracle", "--max-n", "25")
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "suite, bound", [("axioms", "-5"), ("oracle", "0"), ("pgroups", "1")]
+)
+def test_verify_rejects_bound_with_no_checks(capsys, suite, bound):
+    code, out, err = run(capsys, "verify", suite, "--max-n", bound)
+    assert code == 2
+    assert "passed" not in out and "input error" in err
 
 
 def test_verify_rejects_unknown_suite(capsys):

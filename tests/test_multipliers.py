@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
 from sring import (
+    Multiplier,
     Section,
     aut_stabilizer,
     fmult_group,
@@ -18,7 +21,7 @@ from sring import (
     rank2_sring,
     theta,
 )
-from sring.modarith import unit_mod
+from sring.modarith import unit_mod, units
 from sring.multipliers import _is_subsection
 from sring.oracle import enumerate_srings
 
@@ -72,6 +75,9 @@ def test_outer_multiplier_group_structure(units8):
     elems = set(group)
     for om in group:
         assert is_valid_outer_multiplier(units8, om)
+        assert om.inverse() in elems
+        for entry in om.to_json_list():
+            assert set(entry) == {"l", "u", "k", "stabilizer"}
         for other in group:
             assert om * other in elems
 
@@ -146,3 +152,33 @@ def test_wreath_ring_over_composite_is_separable():
     for n in (4, 6, 8, 9, 12):
         decided, _ = is_separable(rank2_sring(n))
         assert decided
+
+
+def _all_families(a, stab_of):
+    """Every choice of one coset of ``stab_of(s)`` per distinguished section."""
+    secs = frs0(a)
+    choices = []
+    for s in secs:
+        cosets = {
+            min(unit_mod(k * e, s.m) for e in stab_of(s)) for k in units(s.m).elements
+        }
+        choices.append(sorted(cosets))
+    return [
+        Multiplier((s, stab_of(s), k) for s, k in zip(secs, reps))
+        for reps in product(*choices)
+    ]
+
+
+def test_enumerators_find_every_valid_family():
+    # The backtracking enumerators against an exhaustive filter by the
+    # pairwise validators, over every quasidense ring with n <= 12.
+    rings = [a for n in range(1, 13) for a in enumerate_srings(n) if is_quasidense(a)]
+    assert len(rings) == 68
+    for a in rings:
+        plain = _all_families(a, lambda s: (1,))
+        assert len(plain) <= 512
+        assert {mu for mu in plain if is_valid_multiplier(a, mu)} == set(mult_group(a))
+        outer = _all_families(a, lambda s: aut_stabilizer(a, s).elements)
+        assert {om for om in outer if is_valid_outer_multiplier(a, om)} == set(
+            fmult_group(a)
+        )
