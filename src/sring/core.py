@@ -9,7 +9,8 @@ constant-coefficient combination of class sums.
 from __future__ import annotations
 
 from math import gcd
-from typing import Iterable, Sequence
+from operator import add
+from typing import Collection, Iterable, Sequence
 
 from .errors import (
     MissingIdentityClass,
@@ -120,11 +121,9 @@ class SRing:
         key = (i, j) if i <= j else (j, i)
         hit = self._products.get(key)
         if hit is None:
-            c = [0] * self.n
-            for x in self.classes[key[0]]:
-                for y in self.classes[key[1]]:
-                    c[(x + y) % self.n] += 1
-            hit = self._products[key] = tuple(c)
+            hit = self._products[key] = tuple(
+                _convolve(self.n, self.classes[key[0]], self.classes[key[1]])
+            )
         return hit
 
     def _check_ring(self) -> None:
@@ -134,6 +133,9 @@ class SRing:
             j = self.class_of[neg[0]]
             if list(self.classes[j]) != neg:
                 raise NotInverseClosed(f"-1 * {list(cls)} is not a class")
+        if _split(n, self.class_of)[1] == self.rank:
+            return
+        # Some product is not constant on a class: find the first witness.
         for i in range(self.rank):
             for j in range(i, self.rank):
                 counts = self.product_counts(i, j)
@@ -192,6 +194,36 @@ def structure_constant(a: SRing, x: int, y: int, z: int) -> int:
 # -- Schur-Wielandt closure ------------------------------------------------
 
 
+def _convolve(n: int, xs: Iterable[int], ys: Collection[int]) -> list[int]:
+    """Coefficients of the product of the set sums of ``xs`` and ``ys`` in Z[Z_n]."""
+    c = [0] * n
+    for x in xs:
+        for y in ys:
+            c[(x + y) % n] += 1
+    return c
+
+
+def _split(n: int, class_of: Sequence[int]) -> tuple[list[int], int]:
+    """One refinement round: new class ids by first occurrence, and their number.
+
+    The signature of z is its class, the class of -z and the sorted codes
+    ``class_of[x] * r + class_of[z - x]`` over all x.  The number of codes
+    (i, j) is the coefficient of z in X_i * X_j, so two residues share a
+    signature exactly when they share a class, the class of their negation
+    and every coefficient of every class product.
+    """
+    cl = list(class_of)
+    r = max(cl) + 1
+    row = [c * r for c in cl]
+    ids: dict[tuple, int] = {}
+    new_class_of = [0] * n
+    for z in range(n):
+        # cl[z::-1] + cl[:z:-1] lists class_of[z - x] for x = 0..n-1
+        key = (cl[z], cl[-z], *sorted(map(add, row, cl[z::-1] + cl[:z:-1])))
+        new_class_of[z] = ids.setdefault(key, len(ids))
+    return new_class_of, len(ids)
+
+
 def _wl_stabilize(n: int, class_of: list[int]) -> list[list[int]]:
     """Refine a partition of Z_n until it satisfies the S-ring axioms.
 
@@ -200,25 +232,11 @@ def _wl_stabilize(n: int, class_of: list[int]) -> list[list[int]]:
     the coarsest S-ring partition refining the start.
     """
     while True:
-        r = max(class_of) + 1
-        classes: list[list[int]] = [[] for _ in range(r)]
-        for z in range(n):
-            classes[class_of[z]].append(z)
-        sigs: list[list[int]] = [[class_of[z], class_of[-z % n]] for z in range(n)]
-        for i in range(r):
-            for j in range(i, r):
-                c = [0] * n
-                for x in classes[i]:
-                    for y in classes[j]:
-                        c[(x + y) % n] += 1
-                for z in range(n):
-                    sigs[z].append(c[z])
-        ids: dict[tuple[int, ...], int] = {}
-        new_class_of = [0] * n
-        for z in range(n):
-            key = tuple(sigs[z])
-            new_class_of[z] = ids.setdefault(key, len(ids))
-        if len(ids) == r:
+        new_class_of, count = _split(n, class_of)
+        if count == max(class_of) + 1:
+            classes: list[list[int]] = [[] for _ in range(count)]
+            for z in range(n):
+                classes[class_of[z]].append(z)
             return classes
         class_of = new_class_of
 

@@ -81,13 +81,25 @@ def character_sum(n: int, xs: Iterable[int], a: int) -> CyclotomicInt:
 
 
 def dual_sring(a: SRing) -> SRing:
-    """The S-ring on the character group, classes by equality of value rows."""
+    """The S-ring on the character group, classes by equality of value rows.
+
+    Each power of zeta_n is packed into one integer with a w-bit lane per
+    coefficient, shifted to be non-negative.  A class sum adds at most n
+    rows, which w is wide enough to hold, so no lane carries into the next
+    and two packed sums are equal exactly when their coefficients are.
+    """
     hit = a._cache.get("dual")
     if hit is None:
         n = a.n
-        rows: dict[tuple, list[int]] = {}
+        table = _power_table(n)
+        low = min(min(row) for row in table)
+        w = (n * (max(max(row) for row in table) - low)).bit_length()
+        packed = [
+            sum((c - low) << (w * i) for i, c in enumerate(row)) for row in table
+        ]
+        rows: dict[tuple[int, ...], list[int]] = {}
         for t in range(n):
-            key = tuple(character_sum(n, cls, t).coeffs for cls in a.classes)
+            key = tuple(sum(packed[t * x % n] for x in cls) for cls in a.classes)
             rows.setdefault(key, []).append(t)
         try:
             hit = SRing(n, rows.values(), check=True)

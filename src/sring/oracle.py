@@ -17,7 +17,7 @@ from itertools import product
 from math import gcd
 from typing import Iterable, Optional
 
-from .core import SRing, _wl_stabilize, full_sring, refines, validate
+from .core import SRing, _convolve, _wl_stabilize, full_sring, refines, validate
 from .errors import (
     CosetClosureNotCoset,
     IntersectionNotAnSRing,
@@ -75,10 +75,7 @@ def _stabilize_partition(n: int, classes: Iterable[frozenset[int]]) -> tuple[fro
 
 
 def _conv_constant_on(n: int, xs: frozenset[int], ys: frozenset[int], cls: frozenset[int]) -> bool:
-    counts = [0] * n
-    for x in xs:
-        for y in ys:
-            counts[(x + y) % n] += 1
+    counts = _convolve(n, xs, ys)
     vals = {counts[z] for z in cls}
     return len(vals) == 1
 

@@ -76,14 +76,24 @@ def test_is_prime_small():
 
 @pytest.mark.parametrize("m", range(1, 25))
 def test_unit_subgroups_against_subset_search(m):
-    g = set(units(m).elements)
+    # Every subset of the units, decided element by element in sorted order.
+    # A branch is cut only when the product of two included elements was
+    # already excluded, so no subset that passes the leaf check is skipped.
+    g = sorted(units(m).elements)
     closed = set()
-    for mask in range(1 << len(g)):
-        sub = {x for i, x in enumerate(sorted(g)) if mask >> i & 1}
-        if 1 in sub and all(x * y % m in sub or m == 1 for x in sub for y in sub):
+
+    def search(i: int, sub: set[int], out: set[int]) -> None:
+        if any(x * y % m in out for x in sub for y in sub):
+            return
+        if i < len(g):
+            search(i + 1, sub | {g[i]}, out)
+            search(i + 1, sub, out | {g[i]})
+        elif 1 in sub and all(x * y % m in sub or m == 1 for x in sub for y in sub):
             if m == 1:
                 sub = {1}
             closed.add(tuple(sorted(sub)))
+
+    search(0, set(), set())
     assert set(unit_subgroups(m)) == closed
 
 

@@ -9,6 +9,7 @@ import pytest
 from sring import (
     Multiplier,
     Section,
+    SRing,
     aut_stabilizer,
     fmult_group,
     frs0,
@@ -23,6 +24,7 @@ from sring import (
 )
 from sring.modarith import unit_mod, units
 from sring.multipliers import _is_subsection
+from sring.sections import _proj_component
 from sring.oracle import enumerate_srings
 
 
@@ -182,3 +184,27 @@ def test_enumerators_find_every_valid_family():
         assert {om for om in outer if is_valid_outer_multiplier(a, om)} == set(
             fmult_group(a)
         )
+
+
+def test_projective_transport_is_enforced():
+    # A quasidense ring over Z_24 where (1, 4) and (3, 12) are one projective
+    # class.  (1, 4) is a subsection of no other section of frs0, and its own
+    # subsections have order at most 2, so a unit of 3 at (1, 4) agrees with
+    # every subsection condition and breaks only the transport to (3, 12).
+    a = SRing(24, [[0], [1, 3, 9, 11, 17, 19], [2, 10, 14, 22], [4, 20],
+                   [5, 7, 13, 15, 21, 23], [6, 18], [8, 16], [12]])
+    mult = mult_group(a)
+    assert len(mult) == 8
+    s, t = Section(24, 1, 4), Section(24, 3, 12)
+    assert _proj_component(24)[s] == _proj_component(24)[t]
+    one = mult[0]
+    assert set(one.canonical_vector()) == {1}
+    bad = Multiplier((u, (1,), 3 if u == s else 1) for u in one.sections)
+    assert all(
+        unit_mod(bad.unit_for(parent), child.m) == bad.unit_for(child)
+        for child in bad.sections
+        for parent in bad.sections
+        if _is_subsection(child, parent)
+    )
+    assert bad.unit_for(s) != bad.unit_for(t)
+    assert not is_valid_multiplier(a, bad)
