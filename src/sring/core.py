@@ -167,6 +167,10 @@ class SRing:
             isinstance(c, list) and all(_is_int(x) for x in c) for c in classes
         ):
             raise ValidationError("classes must be a list of lists of integers")
+        for c in classes:
+            if len(set(c)) != len(c):
+                x = next(x for x in c if c.count(x) > 1)
+                raise ValidationError(f"element {x} appears twice in the class {c}")
         return cls(n, classes, check=check)
 
 

@@ -145,55 +145,74 @@ _TRIVIAL = (1,)
 # -- enumeration -------------------------------------------------------------
 
 
-def _compatible(
-    s: Section,
-    rep: int,
-    chosen: dict[Section, int],
-    canon: dict[Section, dict[int, int]],
-    stabs: dict[Section, tuple[int, ...]],
-    comp,
-) -> bool:
-    """Whether the coset of ``rep`` at ``s`` agrees with every coset chosen so far.
+def _constraints(a: SRing) -> tuple[
+    tuple[Section, ...], tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]
+]:
+    """The sections of ``frs0(a)`` in search order, with each one's constraint lists.
 
-    ``canon[s]`` maps each unit modulo ``s.m`` to the smallest unit of its
-    coset, so coset membership is a comparison of integers.  Sections are
-    chosen in order of decreasing order m, and a proper subsection has a
-    smaller order, so no chosen section is a subsection of ``s``.
+    Sections are ordered by decreasing order m.  ``supers[i]`` lists the
+    indices j whose section contains section i as a subsection, and
+    ``peers[i]`` the indices j in the same projective class; both hold only
+    j < i, since a proper subsection has a smaller order and projectively
+    equivalent sections have equal orders.  No other pair of sections
+    constrains a family.
     """
-    for t, rep_t in chosen.items():
-        if _is_subsection(s, t) and canon[s][unit_mod(rep_t, s.m)] != rep:
-            return False
-        if comp[s] == comp[t] and (rep != rep_t or stabs[s] != stabs[t]):
-            return False
-    return True
+    hit = a._cache.get("constraints")
+    if hit is None:
+        secs = tuple(sorted(frs0(a), key=lambda s: (-s.m, s.l, s.u)))
+        comp = _proj_component(a.n)
+        supers = tuple(
+            tuple(j for j, t in enumerate(secs[:i]) if _is_subsection(s, t))
+            for i, s in enumerate(secs)
+        )
+        peers = tuple(
+            tuple(j for j, t in enumerate(secs[:i]) if comp[t] == comp[s])
+            for i, s in enumerate(secs)
+        )
+        hit = a._cache["constraints"] = (secs, supers, peers)
+    return hit  # type: ignore[return-value]
 
 
 def _families(a: SRing, stab_of: Callable[[Section], tuple[int, ...]]) -> list[Multiplier]:
-    """All consistent coset families with stabilizer ``stab_of(s)`` at each section."""
+    """All consistent coset families with stabilizer ``stab_of(s)`` at each section.
+
+    ``canon[i]`` maps each unit modulo the order of section i to the smallest
+    unit of its coset, so coset membership is a comparison of integers.  A
+    section under an already chosen supersection, or projectively equivalent
+    to an already chosen section, has one possible coset; only the rest
+    branch.
+    """
     if not is_quasidense(a):
         raise ValueError("multiplier enumeration requires a quasidense ring")
-    secs = sorted(frs0(a), key=lambda s: (-s.m, s.l, s.u))
-    comp = _proj_component(a.n)
-    stabs = {s: stab_of(s) for s in secs}
-    canon = {
-        s: {k: min(unit_mod(k * e, s.m) for e in stabs[s]) for k in units(s.m).elements}
-        for s in secs
-    }
-    reps = {s: sorted(set(canon[s].values())) for s in secs}
+    secs, supers, peers = _constraints(a)
+    stabs = [stab_of(s) for s in secs]
+    canon = [
+        {k: min(unit_mod(k * e, s.m) for e in stab) for k in units(s.m).elements}
+        for s, stab in zip(secs, stabs)
+    ]
+    reps = [sorted(set(c.values())) for c in canon]
+    chosen = [0] * len(secs)
     out: list[Multiplier] = []
 
-    def extend(idx: int, chosen: dict[Section, int]) -> None:
-        if idx == len(secs):
-            out.append(Multiplier((s, stabs[s], chosen[s]) for s in secs))
+    def extend(i: int) -> None:
+        if i == len(secs):
+            out.append(Multiplier(zip(secs, stabs, chosen)))
             return
-        s = secs[idx]
-        for rep in reps[s]:
-            if _compatible(s, rep, chosen, canon, stabs, comp):
-                chosen[s] = rep
-                extend(idx + 1, chosen)
-                del chosen[s]
+        m, sup, peer = secs[i].m, supers[i], peers[i]
+        if sup:
+            cands = [canon[i][unit_mod(chosen[sup[0]], m)]]
+        elif peer:
+            cands = [chosen[peer[0]]]
+        else:
+            cands = reps[i]
+        for rep in cands:
+            if all(canon[i][unit_mod(chosen[j], m)] == rep for j in sup) and all(
+                chosen[j] == rep and stabs[j] == stabs[i] for j in peer
+            ):
+                chosen[i] = rep
+                extend(i + 1)
 
-    extend(0, {})
+    extend(0)
     return sorted(out, key=Multiplier.canonical_vector)
 
 
@@ -213,25 +232,25 @@ def fmult_group(a: SRing) -> list[Multiplier]:
 def _is_family(
     a: SRing, fam: Multiplier, stab_of: Callable[[Section], tuple[int, ...]]
 ) -> bool:
-    """Pairwise restriction and transport checks over the full section family."""
-    comp = _proj_component(a.n)
+    """Restriction and transport checks over the constraint lists of ``frs0(a)``."""
     if set(fam.sections) != set(frs0(a)):
         return False
-    rows = []
+    coset_at: dict[Section, frozenset[int]] = {}
     for s, _, rep in fam.entries:
-        coset = fam.coset_for(s)
+        coset = coset_at[s] = fam.coset_for(s)
         if gcd(rep, s.m) != 1 or coset != frozenset(
             unit_mod(e * rep, s.m) for e in stab_of(s)
         ):
             return False
-        rows.append((s.l, s.u, s.m, comp[s], coset))
-    for l, u, m, c, coset in rows:
-        for l_t, u_t, _, c_t, coset_t in rows:
-            # (l, u) is a subsection of (l_t, u_t)
-            if l % l_t == 0 and u_t % u == 0:
-                if any(unit_mod(k, m) not in coset for k in coset_t):
-                    return False
-            if c == c_t and coset != coset_t:
+    secs, supers, peers = _constraints(a)
+    cosets = [coset_at[s] for s in secs]
+    for s, coset, sup, peer in zip(secs, cosets, supers, peers):
+        m = s.m
+        for j in sup:
+            if not {unit_mod(k, m) for k in cosets[j]} <= coset:
+                return False
+        for j in peer:
+            if cosets[j] != coset:
                 return False
     return True
 

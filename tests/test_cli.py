@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sring.cli import main
 
@@ -50,21 +52,47 @@ def test_validate_rejects_malformed_json(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "data",
+    "data, reason",
     [
-        {"n": 4.9, "classes": [[0], [1, 3], [2]]},
-        {"n": True, "classes": [[0]]},
-        {"n": 4, "classes": "0123"},
-        {"n": 2, "classes": [[0], [0.7]]},
+        ({"n": 4.9, "classes": [[0], [1, 3], [2]]}, "integer"),
+        ({"n": True, "classes": [[0]]}, "integer"),
+        ({"n": 4, "classes": "0123"}, "integer"),
+        ({"n": 2, "classes": [[0], [0.7]]}, "integer"),
+        ({"n": 4, "classes": [[0, 0], [1, 3], [2]]}, "element 0 appears twice"),
     ],
-    ids=["float-n", "bool-n", "string-classes", "float-element"],
+    ids=["float-n", "bool-n", "string-classes", "float-element", "repeated-element"],
 )
-def test_validate_rejects_non_integer_json(tmp_path, capsys, data):
+def test_validate_rejects_non_integer_json(tmp_path, capsys, data, reason):
     path = tmp_path / "typed.json"
     path.write_text(json.dumps(data))
     code, out, err = run(capsys, "validate", str(path))
     assert code == 2
-    assert "ValidationError" in err and "integer" in err
+    assert "ValidationError" in err and reason in err
+
+
+_json_leaves = st.integers(-5, 40) | st.booleans() | st.floats() | st.text(max_size=3)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["n", "classes", ""]), inner, max_size=3),
+    max_leaves=8,
+)
+_class_lists = st.lists(st.lists(st.integers(-5, 40) | _json_leaves, max_size=6), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.fixed_dictionaries(
+        {"n": st.integers(-5, 40) | _json_values, "classes": _class_lists | _json_values}
+    )
+    | _json_values
+)
+def test_validate_fuzz_exits_cleanly(tmp_path_factory, data):
+    # Any JSON document: ``validate`` either accepts it (0) or reports an
+    # input error (2); no exception escapes ``main``.
+    path = tmp_path_factory.getbasetemp() / "fuzz-ring.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", str(path)]) in (0, 2)
 
 
 def test_missing_file_is_input_error(capsys):
