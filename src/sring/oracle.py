@@ -195,6 +195,11 @@ def verify_isomorphism(phi: Similarity, iso: Isomorphism) -> bool:
     return True
 
 
+def _check_isomorphism_bound(n: int, max_n: int) -> None:
+    if n > max_n:
+        raise LimitExceeded(f"isomorphism search over Z_{n} exceeds the bound {max_n}")
+
+
 def find_isomorphism(
     phi: Similarity, *, max_n: int = ISOMORPHISM_BOUND
 ) -> Optional[Isomorphism]:
@@ -204,8 +209,7 @@ def find_isomorphism(
     """
     a, b = phi.source, phi.target
     n = a.n
-    if n > max_n:
-        raise LimitExceeded(f"isomorphism search over Z_{n} exceeds the bound {max_n}")
+    _check_isomorphism_bound(n, max_n)
     table = [-1] * n
     table[0] = 0
     used = [False] * n
@@ -241,6 +245,8 @@ def find_isomorphism(
 
 def phi_infty(a: SRing, *, max_n: int = ISOMORPHISM_BOUND) -> list[Similarity]:
     """Similarities of ``a`` induced by at least one bijection of Z_n."""
+    # before the similarity search, which alone can take minutes past the bound
+    _check_isomorphism_bound(a.n, max_n)
     realized = [
         phi for phi in similarities(a, a) if find_isomorphism(phi, max_n=max_n) is not None
     ]

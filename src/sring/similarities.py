@@ -11,6 +11,7 @@ a similarity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import floordiv, itemgetter
 from typing import Optional
 
 from .core import SRing, generated, radical
@@ -73,6 +74,27 @@ def identity_similarity(a: SRing) -> Similarity:
     return Similarity(a, a, tuple(range(a.rank)))
 
 
+def _constants(a: SRing) -> tuple[int, ...]:
+    """The structure constants of ``a`` as one flat tuple.
+
+    Entry ``(i * r + j) * r + k`` is the coefficient of X_k in X_i * X_j.
+    It counts the pairs (x, y) with x in X_i, y in X_j and x + y in X_k,
+    divided by |X_k|, since every z in X_k is hit equally often.
+    """
+    hit = a._cache.get("constants")
+    if hit is None:
+        n, r, cl = a.n, a.rank, a.class_of
+        counts = [0] * (r * r * r)
+        for x in range(n):
+            base = cl[x] * r
+            # cl[x:] + cl[:x] lists class_of[x + y] for y = 0..n-1
+            for j, k in zip(cl, cl[x:] + cl[:x]):
+                counts[(base + j) * r + k] += 1
+        sizes = [len(c) for c in a.classes] * (r * r)
+        hit = a._cache["constants"] = tuple(map(floordiv, counts, sizes))
+    return hit  # type: ignore[return-value]
+
+
 def is_similarity(a: SRing, b: SRing, class_map: tuple[int, ...]) -> bool:
     """Full check of the similarity conditions for a candidate class map."""
     if a.n != b.n or a.rank != b.rank or sorted(class_map) != list(range(a.rank)):
@@ -84,26 +106,35 @@ def is_similarity(a: SRing, b: SRing, class_map: tuple[int, ...]) -> bool:
             return False
         if class_map[a.inverse_class(i)] != b.inverse_class(class_map[i]):
             return False
-    for i in range(a.rank):
-        for j in range(i, a.rank):
-            ca = a.product_counts(i, j)
-            cb = b.product_counts(class_map[i], class_map[j])
-            for k in range(a.rank):
-                if ca[a.classes[k][0]] != cb[b.classes[class_map[k]][0]]:
-                    return False
+    r = a.rank
+    if r == 1:  # Z_1: nothing left to compare, and itemgetter(0) would not give a tuple
+        return True
+    ca, cb = _constants(a), _constants(b)
+    permute = itemgetter(*class_map)
+    for i in range(r):
+        for j in range(i, r):
+            row_a = (i * r + j) * r
+            row_b = (class_map[i] * r + class_map[j]) * r
+            if ca[row_a : row_a + r] != permute(cb[row_b : row_b + r]):
+                return False
     return True
 
 
 def _class_fingerprints(a: SRing) -> list[tuple]:
+    """Per class: its size, self-pairing and the (constant, size) multisets of
+    X_i * X_i and X_i * X_i^-1; a similarity maps each class to an equal one."""
+    r, c = a.rank, _constants(a)
+    sizes = [len(cls) for cls in a.classes]
     out = []
-    for i in range(a.rank):
+    for i in range(r):
         inv = a.inverse_class(i)
+        sq, pair = (i * r + i) * r, (i * r + inv) * r
         out.append(
             (
-                len(a.classes[i]),
+                sizes[i],
                 inv == i,
-                tuple(sorted(a.product_counts(i, i))),
-                tuple(sorted(a.product_counts(i, inv))),
+                tuple(sorted(zip(c[sq : sq + r], sizes))),
+                tuple(sorted(zip(c[pair : pair + r], sizes))),
             )
         )
     return out
@@ -123,58 +154,52 @@ def similarities(a: SRing, b: SRing) -> list[Similarity]:
     ]
     if any(not c for c in candidates):
         return []
+    ca, cb = _constants(a), _constants(b)
+    inv_a = [a.inverse_class(i) for i in range(r)]
+    inv_b = [b.inverse_class(j) for j in range(r)]
     order = sorted(range(r), key=lambda i: (len(a.classes[i]), a.classes[i][0]))
-    assigned: dict[int, int] = {}
+    image = [-1] * r
     used = [False] * r
+    done: list[tuple[int, int]] = []  # assigned (class, image), in search order
     found: list[tuple[int, ...]] = []
-    sorted_counts_a: dict[tuple[int, int], list[int]] = {}
-    sorted_counts_b: dict[tuple[int, int], list[int]] = {}
-
-    def sorted_counts(ring: SRing, memo: dict, p: int, q: int) -> list[int]:
-        key = (p, q) if p <= q else (q, p)
-        if key not in memo:
-            memo[key] = sorted(ring.product_counts(*key))
-        return memo[key]
 
     def consistent(i: int, j: int) -> bool:
-        inv_i = a.inverse_class(i)
-        if inv_i in assigned and assigned[inv_i] != b.inverse_class(j):
+        """Whether i -> j keeps every constant among the assigned classes."""
+        # Inverse pairing. The constants at k = 0 below imply it, since class 0
+        # is assigned first, so this is only an early exit.
+        if image[inv_a[i]] >= 0 and image[inv_a[i]] != inv_b[j]:
             return False
-        trial = dict(assigned)
-        trial[i] = j
-        items = list(trial.items())
-        for pi, (p, fp) in enumerate(items):
-            for q, fq in items[pi:]:
-                if i not in (p, q):
-                    # old factor pair: only the newly assigned target is unchecked
-                    ca = a.product_counts(p, q)
-                    cb = b.product_counts(fp, fq)
-                    if ca[a.classes[i][0]] != cb[b.classes[j][0]]:
-                        return False
-                    continue
-                if sorted_counts(a, sorted_counts_a, p, q) != sorted_counts(
-                    b, sorted_counts_b, fp, fq
-                ):
+        # old factor pairs: only the newly assigned target i -> j is unchecked
+        for pos, (p, fp) in enumerate(done):
+            pa, pb = p * r, fp * r
+            for q, fq in done[pos:]:
+                if ca[(pa + q) * r + i] != cb[(pb + fq) * r + j]:
                     return False
-                ca = a.product_counts(p, q)
-                cb = b.product_counts(fp, fq)
-                for k, fk in items:
-                    if ca[a.classes[k][0]] != cb[b.classes[fk][0]]:
-                        return False
+        # factor pairs with i: every assigned target, i itself included
+        ia, ib = i * r, j * r
+        for p, fp in (*done, (i, j)):
+            row_a, row_b = (ia + p) * r, (ib + fp) * r
+            if ca[row_a + i] != cb[row_b + j]:
+                return False
+            for k, fk in done:
+                if ca[row_a + k] != cb[row_b + fk]:
+                    return False
         return True
 
     def search(pos: int) -> None:
         if pos == r:
-            found.append(tuple(assigned[i] for i in range(r)))
+            found.append(tuple(image))
             return
         i = order[pos]
         for j in candidates[i]:
             if not used[j] and consistent(i, j):
-                assigned[i] = j
+                image[i] = j
                 used[j] = True
+                done.append((i, j))
                 search(pos + 1)
+                done.pop()
                 used[j] = False
-                del assigned[i]
+                image[i] = -1
 
     search(0)
     out = [
@@ -211,22 +236,31 @@ def from_unit(a_s: SRing, k: int) -> Optional[Similarity]:
     m = a_s.n
     if k not in units(m):
         raise ValueError(f"{k} is not a unit modulo {m}")
+    cl = a_s.class_of
     cmap = []
     for cls in a_s.classes:
-        image = frozenset((k * x) % m for x in cls)
-        j = a_s.class_of[min(image)]
-        if frozenset(a_s.classes[j]) != image:
+        # k*X has |X| elements, so it is the class j when it lies inside it
+        j = cl[(k * cls[0]) % m]
+        if len(a_s.classes[j]) != len(cls) or any(cl[(k * x) % m] != j for x in cls):
             return None
         cmap.append(j)
     return Similarity(a_s, a_s, tuple(cmap))
 
 
 def inducing_unit(a_s: SRing, psi: Similarity) -> Optional[int]:
-    """The smallest unit k with X -> k*X equal to ``psi``, if one exists."""
-    for k in units(a_s.n).elements:
-        cand = from_unit(a_s, k)
-        if cand is not None and cand.class_map == psi.class_map:
-            return k
+    """The smallest unit k with X -> k*X equal to ``psi``, if one exists.
+
+    Such a k equals k*1, so only the units in the image of the class of 1
+    are tried.
+    """
+    m = a_s.n
+    cl = a_s.class_of
+    target = psi.class_map[cl[1 % m]]
+    for k in units(m).elements:
+        if cl[k % m] == target:
+            cand = from_unit(a_s, k)
+            if cand is not None and cand.class_map == psi.class_map:
+                return k
     return None
 
 
@@ -252,6 +286,16 @@ def fs_of(a: SRing, phi: Similarity) -> Multiplier:
     return om
 
 
+def _class_sections(a: SRing) -> tuple[Section, ...]:
+    """Each class's generated-over-radical section, in class order."""
+    hit = a._cache.get("class_sections")
+    if hit is None:
+        hit = a._cache["class_sections"] = tuple(
+            Section(a.n, radical(a.n, cls), generated(a.n, cls)) for cls in a.classes
+        )
+    return hit  # type: ignore[return-value]
+
+
 def similarity_from_outer(a: SRing, om: Multiplier) -> Similarity:
     """Reassemble a similarity from an outer multiplier, classwise.
 
@@ -263,18 +307,16 @@ def similarity_from_outer(a: SRing, om: Multiplier) -> Similarity:
         raise ValueError("reconstruction requires a quasidense ring")
     if set(om.sections) != set(frs0(a)):
         raise ValueError("outer multiplier is not defined over this ring's sections")
+    cl = a.class_of
     cmap = []
-    for cls in a.classes:
-        p = Section(a.n, radical(a.n, cls), generated(a.n, cls))
+    for cls, p in zip(a.classes, _class_sections(a)):
         k = om.unit_for(p)
         step = a.n // p.u
         m = p.m
         image_coords = {(k * (x // step)) % m for x in cls}
-        image = frozenset(
-            x for x in range(0, a.n, step) if (x // step) % m in image_coords
-        )
-        j = a.class_of[min(image)]
-        if frozenset(a.classes[j]) != image:
+        image = [x for x in range(0, a.n, step) if (x // step) % m in image_coords]
+        j = cl[image[0]]
+        if len(image) != len(a.classes[j]) or any(cl[x] != j for x in image):
             raise ReconstructionFailed(
                 f"image of {list(cls)} under unit {k} on {p} is not a class"
             )

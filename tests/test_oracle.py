@@ -12,6 +12,7 @@ from sring import (
     SRing,
     coset_closure,
     cyclotomic_sring,
+    dual_sring,
     enumerate_srings,
     find_isomorphism,
     full_sring,
@@ -25,6 +26,7 @@ from sring import (
     validate,
     verify_isomorphism,
 )
+import sring.oracle
 from sring.errors import ValidationError
 from sring.modarith import divisors, unit_subgroups
 from sring.oracle import _is_coset
@@ -117,6 +119,19 @@ def test_phi_infty_counts(cyc5, units8):
     assert len(phi_infty(full_sring(6))) == 2
 
 
+def test_oracle_bound_fires_before_the_similarity_search(monkeypatch):
+    def refuse(a, b):
+        raise AssertionError("the similarity search ran past the size bound")
+
+    monkeypatch.setattr(sring.oracle, "similarities", refuse)
+    a = full_sring(21)
+    message = "isomorphism search over Z_21 exceeds the bound 20"
+    with pytest.raises(LimitExceeded, match=message):
+        phi_infty(a)
+    with pytest.raises(LimitExceeded, match=message):
+        is_separable_bruteforce(a)
+
+
 def test_bruteforce_separability_small(cyc5, units8, rank2_4):
     assert is_separable_bruteforce(cyc5)
     assert is_separable_bruteforce(units8)
@@ -199,6 +214,21 @@ def test_coset_closure_warns_exactly_when_not_coset():
 def test_coset_closure_respects_limit():
     with pytest.raises(LimitExceeded):
         coset_closure(rank2_sring(17))
+
+
+@pytest.mark.parametrize("n, gens", [(72, [11, 13]), (144, [5, 7])])
+def test_nonseparable_witness(n, gens):
+    # the smallest known non-separable rings: the oracle finds 8 of the 16
+    # similarities realized, and the criterion must say the same
+    a = cyclotomic_sring(n, gens)
+    realized = len(phi_infty(a, max_n=a.n))
+    total = len(similarities(a, a))
+    assert (realized, total) == (8, 16)
+    separable, report = is_separable(a)
+    assert separable is False
+    assert report.fmult_order == total
+    assert report.theta_image_order == realized
+    assert is_separable(dual_sring(a))[0] is False
 
 
 def test_nonseparable_rings_exist_is_not_assumed():

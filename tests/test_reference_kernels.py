@@ -1,18 +1,23 @@
-"""Refinement, ring validation, the dual and the multiplier layer against the
-code they replaced.
+"""Refinement, ring validation, the dual, the multiplier layer and the
+similarity layer against the code they replaced.
 
 The reference implementations below are the earlier bodies of
 ``core._wl_stabilize``, ``SRing._check_ring`` and ``duality.dual_sring``:
 one class-product convolution per pair of classes, and one ``character_sum``
-per class and character; and of ``multipliers._families`` and
-``multipliers._is_family``, which test every pair of sections of ``frs0``.
-They are kept here as test oracles only.
+per class and character; of ``multipliers._families`` and
+``multipliers._is_family``, which test every pair of sections of ``frs0``;
+and of ``similarities.similarities``, ``is_similarity``, ``from_unit`` and
+``inducing_unit``, which read structure constants from ``product_counts``
+vectors and compare images as frozensets.  They are kept here as test
+oracles only.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import permutations
 from math import gcd
+from typing import Optional
 
 from sring import (
     SRing,
@@ -23,11 +28,16 @@ from sring import (
     cyclotomic_sring,
     dual_sring,
     fmult_group,
+    from_unit,
     frs0,
+    inducing_unit,
     is_quasidense,
+    is_similarity,
     is_valid_multiplier,
     is_valid_outer_multiplier,
     mult_group,
+    restrict_to,
+    similarities,
     validate,
 )
 from sring.core import _wl_stabilize
@@ -36,6 +46,7 @@ from sring.modarith import unit_mod, unit_subgroups, units
 from sring.multipliers import Multiplier, _is_subsection
 from sring.oracle import enumerate_srings
 from sring.sections import _proj_component
+from sring.similarities import Similarity, _constants
 
 
 def _wl_stabilize_pairwise(n: int, class_of: list[int]) -> list[list[int]]:
@@ -284,3 +295,198 @@ def test_multiplier_layer_matches_all_pairs_reference():
             ), (a, fam)
             verdicts.add(got)
     assert len(verdicts) == 4
+
+
+def _is_similarity_by_vectors(a: SRing, b: SRing, class_map: tuple[int, ...]) -> bool:
+    if a.n != b.n or a.rank != b.rank or sorted(class_map) != list(range(a.rank)):
+        return False
+    if class_map[0] != 0:
+        return False
+    for i in range(a.rank):
+        if len(a.classes[i]) != len(b.classes[class_map[i]]):
+            return False
+        if class_map[a.inverse_class(i)] != b.inverse_class(class_map[i]):
+            return False
+    for i in range(a.rank):
+        for j in range(i, a.rank):
+            ca = a.product_counts(i, j)
+            cb = b.product_counts(class_map[i], class_map[j])
+            for k in range(a.rank):
+                if ca[a.classes[k][0]] != cb[b.classes[class_map[k]][0]]:
+                    return False
+    return True
+
+
+def _class_fingerprints_by_vectors(a: SRing) -> list[tuple]:
+    out = []
+    for i in range(a.rank):
+        inv = a.inverse_class(i)
+        out.append(
+            (
+                len(a.classes[i]),
+                inv == i,
+                tuple(sorted(a.product_counts(i, i))),
+                tuple(sorted(a.product_counts(i, inv))),
+            )
+        )
+    return out
+
+
+def _similarities_by_vectors(a: SRing, b: SRing) -> list[Similarity]:
+    if a.n != b.n or a.rank != b.rank:
+        return []
+    if sorted(map(len, a.classes)) != sorted(map(len, b.classes)):
+        return []
+    r = a.rank
+    fp_a = _class_fingerprints_by_vectors(a)
+    fp_b = _class_fingerprints_by_vectors(b)
+    candidates = [[j for j in range(r) if fp_b[j] == fp_a[i]] for i in range(r)]
+    if any(not c for c in candidates):
+        return []
+    order = sorted(range(r), key=lambda i: (len(a.classes[i]), a.classes[i][0]))
+    assigned: dict[int, int] = {}
+    used = [False] * r
+    found: list[tuple[int, ...]] = []
+    sorted_counts_a: dict[tuple[int, int], list[int]] = {}
+    sorted_counts_b: dict[tuple[int, int], list[int]] = {}
+
+    def sorted_counts(ring: SRing, memo: dict, p: int, q: int) -> list[int]:
+        key = (p, q) if p <= q else (q, p)
+        if key not in memo:
+            memo[key] = sorted(ring.product_counts(*key))
+        return memo[key]
+
+    def consistent(i: int, j: int) -> bool:
+        inv_i = a.inverse_class(i)
+        if inv_i in assigned and assigned[inv_i] != b.inverse_class(j):
+            return False
+        trial = dict(assigned)
+        trial[i] = j
+        items = list(trial.items())
+        for pi, (p, fp) in enumerate(items):
+            for q, fq in items[pi:]:
+                if i not in (p, q):
+                    ca = a.product_counts(p, q)
+                    cb = b.product_counts(fp, fq)
+                    if ca[a.classes[i][0]] != cb[b.classes[j][0]]:
+                        return False
+                    continue
+                if sorted_counts(a, sorted_counts_a, p, q) != sorted_counts(
+                    b, sorted_counts_b, fp, fq
+                ):
+                    return False
+                ca = a.product_counts(p, q)
+                cb = b.product_counts(fp, fq)
+                for k, fk in items:
+                    if ca[a.classes[k][0]] != cb[b.classes[fk][0]]:
+                        return False
+        return True
+
+    def search(pos: int) -> None:
+        if pos == r:
+            found.append(tuple(assigned[i] for i in range(r)))
+            return
+        i = order[pos]
+        for j in candidates[i]:
+            if not used[j] and consistent(i, j):
+                assigned[i] = j
+                used[j] = True
+                search(pos + 1)
+                used[j] = False
+                del assigned[i]
+
+    search(0)
+    return [
+        Similarity(a, b, cmap)
+        for cmap in sorted(found)
+        if _is_similarity_by_vectors(a, b, cmap)
+    ]
+
+
+def _from_unit_by_sets(a_s: SRing, k: int) -> Optional[Similarity]:
+    m = a_s.n
+    if k not in units(m):
+        raise ValueError(f"{k} is not a unit modulo {m}")
+    cmap = []
+    for cls in a_s.classes:
+        image = frozenset((k * x) % m for x in cls)
+        j = a_s.class_of[min(image)]
+        if frozenset(a_s.classes[j]) != image:
+            return None
+        cmap.append(j)
+    return Similarity(a_s, a_s, tuple(cmap))
+
+
+def _inducing_unit_over_all_units(a_s: SRing, psi: Similarity) -> Optional[int]:
+    for k in units(a_s.n).elements:
+        cand = _from_unit_by_sets(a_s, k)
+        if cand is not None and cand.class_map == psi.class_map:
+            return k
+    return None
+
+
+def test_structure_constant_table_matches_product_counts():
+    for n in range(1, 17):
+        for a in enumerate_srings(n):
+            r, table = a.rank, _constants(a)
+            assert len(table) == r**3
+            for i in range(r):
+                for j in range(r):
+                    counts = a.product_counts(i, j)
+                    for k in range(r):
+                        assert table[(i * r + j) * r + k] == counts[a.classes[k][0]]
+
+
+def test_self_similarities_match_vector_search():
+    # Every ring with n <= 20 and the two smallest non-separable witnesses:
+    # the same similarities in the same order.
+    rings = [a for n in range(1, 21) for a in enumerate_srings(n)]
+    rings += [cyclotomic_sring(72, [11, 13]), cyclotomic_sring(144, [5, 7])]
+    for a in rings:
+        assert similarities(a, a) == _similarities_by_vectors(a, a), a
+
+
+def test_similarities_between_rings_match_vector_search():
+    pairs = [
+        (a, b)
+        for n in range(1, 13)
+        for a in enumerate_srings(n)
+        for b in enumerate_srings(n)
+        if a != b and a.rank == b.rank
+    ]
+    # No two of these rings are similar: every pair ends at an early exit of
+    # both searches, where the two must still agree on the empty list.
+    assert len(pairs) == 166
+    for a, b in pairs:
+        assert similarities(a, b) == _similarities_by_vectors(a, b) == [], (a, b)
+
+
+def test_is_similarity_matches_vectors_on_every_permutation():
+    verdicts = set()
+    for n in range(1, 17):
+        for a in enumerate_srings(n):
+            if a.rank > 6:
+                continue
+            for rest in permutations(range(1, a.rank)):
+                cmap = (0, *rest)
+                got = is_similarity(a, a, cmap)
+                assert got == _is_similarity_by_vectors(a, a, cmap), (a, cmap)
+                verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_inducing_unit_matches_search_over_all_units():
+    outcomes = set()
+    for n in range(1, 21):
+        for a in enumerate_srings(n):
+            if not is_quasidense(a):
+                continue
+            for s in frs0(a):
+                a_s = restrict_to(a, s)
+                for k in units(a_s.n).elements:
+                    assert from_unit(a_s, k) == _from_unit_by_sets(a_s, k), (a_s, k)
+                for psi in similarities(a_s, a_s):
+                    got = inducing_unit(a_s, psi)
+                    assert got == _inducing_unit_over_all_units(a_s, psi), (a_s, psi)
+                    outcomes.add(got == 1)
+    assert outcomes == {True, False}
