@@ -12,6 +12,7 @@ plain multiplier.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd
 from typing import Callable, Iterable, Optional
 
@@ -87,7 +88,20 @@ class Multiplier:
                 for s, stab, rep in entries
             )
         )
-        self._by_section = {entry[0]: entry for entry in self.entries}
+
+    @classmethod
+    def _canonical(cls, entries: tuple) -> "Multiplier":
+        """A family from entries already as ``__init__`` leaves them: in
+        section order, each stabilizer sorted, each unit the smallest of its
+        coset."""
+        fam = cls.__new__(cls)
+        fam.entries = entries
+        return fam
+
+    @cached_property
+    def _by_section(self) -> dict[Section, tuple[Section, tuple[int, ...], int]]:
+        # built on first lookup: most families of a group are never looked up
+        return {entry[0]: entry for entry in self.entries}
 
     def coset_for(self, s: Section) -> frozenset[int]:
         _, stab, rep = self._by_section[s]
@@ -146,7 +160,10 @@ _TRIVIAL = (1,)
 
 
 def _constraints(a: SRing) -> tuple[
-    tuple[Section, ...], tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]
+    tuple[Section, ...],
+    tuple[tuple[int, ...], ...],
+    tuple[tuple[int, ...], ...],
+    tuple[int, ...],
 ]:
     """The sections of ``frs0(a)`` in search order, with each one's constraint lists.
 
@@ -155,11 +172,13 @@ def _constraints(a: SRing) -> tuple[
     ``peers[i]`` the indices j in the same projective class; both hold only
     j < i, since a proper subsection has a smaller order and projectively
     equivalent sections have equal orders.  No other pair of sections
-    constrains a family.
+    constrains a family.  ``order`` lists the search indices in section
+    order, the order of a family's entries.
     """
     hit = a._cache.get("constraints")
     if hit is None:
         secs = tuple(sorted(frs0(a), key=lambda s: (-s.m, s.l, s.u)))
+        order = tuple(sorted(range(len(secs)), key=secs.__getitem__))
         comp = _proj_component(a.n)
         supers = tuple(
             tuple(j for j, t in enumerate(secs[:i]) if _is_subsection(s, t))
@@ -169,7 +188,7 @@ def _constraints(a: SRing) -> tuple[
             tuple(j for j, t in enumerate(secs[:i]) if comp[t] == comp[s])
             for i, s in enumerate(secs)
         )
-        hit = a._cache["constraints"] = (secs, supers, peers)
+        hit = a._cache["constraints"] = (secs, supers, peers, order)
     return hit  # type: ignore[return-value]
 
 
@@ -177,14 +196,14 @@ def _families(a: SRing, stab_of: Callable[[Section], tuple[int, ...]]) -> list[M
     """All consistent coset families with stabilizer ``stab_of(s)`` at each section.
 
     ``canon[i]`` maps each unit modulo the order of section i to the smallest
-    unit of its coset, so coset membership is a comparison of integers.  A
-    section under an already chosen supersection, or projectively equivalent
-    to an already chosen section, has one possible coset; only the rest
-    branch.
+    unit of its coset, so coset membership is a comparison of integers and
+    every chosen unit is already the smallest of its coset.  A section under
+    an already chosen supersection, or projectively equivalent to an already
+    chosen section, has one possible coset; only the rest branch.
     """
     if not is_quasidense(a):
         raise ValueError("multiplier enumeration requires a quasidense ring")
-    secs, supers, peers = _constraints(a)
+    secs, supers, peers, order = _constraints(a)
     stabs = [stab_of(s) for s in secs]
     canon = [
         {k: min(unit_mod(k * e, s.m) for e in stab) for k in units(s.m).elements}
@@ -196,7 +215,9 @@ def _families(a: SRing, stab_of: Callable[[Section], tuple[int, ...]]) -> list[M
 
     def extend(i: int) -> None:
         if i == len(secs):
-            out.append(Multiplier(zip(secs, stabs, chosen)))
+            out.append(
+                Multiplier._canonical(tuple((secs[j], stabs[j], chosen[j]) for j in order))
+            )
             return
         m, sup, peer = secs[i].m, supers[i], peers[i]
         if sup:
@@ -232,26 +253,28 @@ def fmult_group(a: SRing) -> list[Multiplier]:
 def _is_family(
     a: SRing, fam: Multiplier, stab_of: Callable[[Section], tuple[int, ...]]
 ) -> bool:
-    """Restriction and transport checks over the constraint lists of ``frs0(a)``."""
-    if set(fam.sections) != set(frs0(a)):
+    """Restriction and transport checks over the constraint lists of ``frs0(a)``.
+
+    A family must list each section of ``frs0(a)`` exactly once.
+    """
+    secs, supers, peers, _ = _constraints(a)
+    by_section = fam._by_section
+    if len(fam.entries) != len(secs) or any(s not in by_section for s in secs):
         return False
-    coset_at: dict[Section, frozenset[int]] = {}
-    for s, _, rep in fam.entries:
-        coset = coset_at[s] = fam.coset_for(s)
-        if gcd(rep, s.m) != 1 or coset != frozenset(
-            unit_mod(e * rep, s.m) for e in stab_of(s)
-        ):
-            return False
-    secs, supers, peers = _constraints(a)
-    cosets = [coset_at[s] for s in secs]
-    for s, coset, sup, peer in zip(secs, cosets, supers, peers):
+    cosets: list[frozenset[int]] = []
+    for s, sup, peer in zip(secs, supers, peers):
+        _, stab, rep = by_section[s]
         m = s.m
+        coset = frozenset(unit_mod(e * rep, m) for e in stab)
+        if gcd(rep, m) != 1 or coset != frozenset(unit_mod(e * rep, m) for e in stab_of(s)):
+            return False
         for j in sup:
             if not {unit_mod(k, m) for k in cosets[j]} <= coset:
                 return False
         for j in peer:
             if cosets[j] != coset:
                 return False
+        cosets.append(coset)
     return True
 
 
@@ -265,11 +288,19 @@ def is_valid_outer_multiplier(a: SRing, om: Multiplier) -> bool:
     return _is_family(a, om, lambda s: aut_stabilizer(a, s).elements)
 
 
+def _project(a: SRing, mu: Multiplier) -> Multiplier:
+    """The family of stabilizer cosets through the units of ``mu``, unchecked."""
+    entries = []
+    for s, _, k in mu.entries:
+        stab = aut_stabilizer(a, s).elements
+        m = s.m
+        entries.append((s, stab, min(unit_mod(k * e, m) for e in stab)))
+    return Multiplier._canonical(tuple(entries))
+
+
 def theta(a: SRing, mu: Multiplier) -> Multiplier:
     """Project a multiplier to the outer multiplier of its stabilizer cosets."""
-    om = Multiplier(
-        (s, aut_stabilizer(a, s).elements, k) for s, _, k in mu.entries
-    )
+    om = _project(a, mu)
     if not is_valid_outer_multiplier(a, om):  # pragma: no cover - theory
         raise TheoryViolation(f"projection of {mu!r} is not an outer multiplier")
     return om
@@ -309,7 +340,11 @@ def is_separable(a: SRing) -> tuple[bool, SeparabilityReport]:
     reduct, trace = reduce_to_quasidense(a)
     mult = mult_group(reduct)
     fmult = fmult_group(reduct)
-    image = {theta(reduct, mu) for mu in mult}
+    # each distinct image with one multiplier mapping to it; θ's guard runs
+    # once per image, and its checked copy is dropped so one copy stays alive
+    image = {_project(reduct, mu): mu for mu in mult}
+    for mu in image.values():
+        theta(reduct, mu)
     missing = sorted(
         (om for om in fmult if om not in image),
         key=Multiplier.canonical_vector,

@@ -243,13 +243,12 @@ def find_isomorphism(
     return iso
 
 
-def phi_infty(a: SRing, *, max_n: int = ISOMORPHISM_BOUND) -> list[Similarity]:
-    """Similarities of ``a`` induced by at least one bijection of Z_n."""
+def _realized(a: SRing, max_n: int) -> tuple[list[Similarity], int]:
+    """The similarities of ``a`` induced by a bijection, and how many there are in all."""
     # before the similarity search, which alone can take minutes past the bound
     _check_isomorphism_bound(a.n, max_n)
-    realized = [
-        phi for phi in similarities(a, a) if find_isomorphism(phi, max_n=max_n) is not None
-    ]
+    sims = similarities(a, a)
+    realized = [phi for phi in sims if find_isomorphism(phi, max_n=max_n) is not None]
     by_map = {phi.class_map for phi in realized}
     for phi in realized:
         if phi.inverse().class_map not in by_map:  # pragma: no cover - theory
@@ -257,12 +256,18 @@ def phi_infty(a: SRing, *, max_n: int = ISOMORPHISM_BOUND) -> list[Similarity]:
         for psi in realized:
             if phi.then(psi).class_map not in by_map:  # pragma: no cover - theory
                 raise TheoryViolation("realized similarities are not composition-closed")
-    return realized
+    return realized, len(sims)
+
+
+def phi_infty(a: SRing, *, max_n: int = ISOMORPHISM_BOUND) -> list[Similarity]:
+    """Similarities of ``a`` induced by at least one bijection of Z_n."""
+    return _realized(a, max_n)[0]
 
 
 def is_separable_bruteforce(a: SRing, *, max_n: int = ISOMORPHISM_BOUND) -> bool:
     """True when every similarity of ``a`` is induced by some bijection."""
-    return len(phi_infty(a, max_n=max_n)) == len(similarities(a, a))
+    realized, total = _realized(a, max_n)
+    return len(realized) == total
 
 
 # -- module intersection and coset closure ------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     SRing,
@@ -47,17 +47,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class Section:
-    """Nested subgroup pair of Z_n, written by subgroup orders l | u | n."""
-
+class _SectionFields(NamedTuple):
     n: int
     l: int
     u: int
 
-    def __post_init__(self) -> None:
-        if self.l < 1 or self.u % self.l or self.n % self.u:
-            raise NotASection(f"({self.l}, {self.u}) is not a section of Z_{self.n}")
+
+class Section(_SectionFields):
+    """Nested subgroup pair of Z_n, written by subgroup orders l | u | n.
+
+    A tuple underneath, so hashing, equality and the ``(n, l, u)`` order
+    run in C.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, l: int, u: int) -> "Section":
+        if l < 1 or u % l or n % u:
+            raise NotASection(f"({l}, {u}) is not a section of Z_{n}")
+        return super().__new__(cls, n, l, u)
 
     @property
     def m(self) -> int:

@@ -268,7 +268,10 @@ def fs_of(a: SRing, phi: Similarity) -> Multiplier:
     """The outer multiplier collecting the units inducing ``phi`` on each section.
 
     Requires a quasidense ring; every restriction of a similarity of such a
-    ring to a distinguished section is induced by a unit.
+    ring to a distinguished section is induced by a unit.  The units of the
+    stabilizer coset at a section are exactly the units inducing the same
+    map, so the smallest inducing unit is the smallest of its coset, and
+    ``frs0`` lists the sections in order: the entries are already canonical.
     """
     if not is_quasidense(a):
         raise ValueError("outer multiplier extraction requires a quasidense ring")
@@ -280,7 +283,7 @@ def fs_of(a: SRing, phi: Similarity) -> Multiplier:
         if k is None:
             raise NoInducingUnit(f"restriction to {s} is not induced by any unit")
         entries.append((s, aut_stabilizer(a, s).elements, k))
-    om = Multiplier(entries)
+    om = Multiplier._canonical(tuple(entries))
     if not is_valid_outer_multiplier(a, om):  # pragma: no cover - theory
         raise TheoryViolation(f"extracted family of {phi} is not an outer multiplier")
     return om

@@ -6,11 +6,14 @@ from itertools import product
 
 import pytest
 
+import sring.multipliers
 from sring import (
     Multiplier,
     Section,
     SRing,
+    TheoryViolation,
     aut_stabilizer,
+    cyclotomic_sring,
     fmult_group,
     frs0,
     full_sring,
@@ -106,6 +109,40 @@ def test_theta_projects_units_to_cosets(cyc5):
             stab = set(aut_stabilizer(cyc5, s).elements)
             coset = {unit_mod(e * mu.unit_for(s), s.m) for e in stab}
             assert om.coset_for(s) == coset
+
+
+def test_theta_guard_runs_on_every_call_and_every_image(monkeypatch):
+    # theta validates each projection it returns, and is_separable sends each
+    # distinct image of theta through that guard once
+    a = cyclotomic_sring(24, [-1])
+    mult = mult_group(a)
+    image = {theta(a, mu) for mu in mult}
+    assert len(mult) == 8 and len(image) == 4
+    checked = []
+
+    def rejecting(ring, om):
+        checked.append(om)
+        return False
+
+    monkeypatch.setattr(sring.multipliers, "is_valid_outer_multiplier", rejecting)
+    for mu in mult:
+        with pytest.raises(TheoryViolation):
+            theta(a, mu)
+    assert checked == [
+        Multiplier((s, aut_stabilizer(a, s).elements, k) for s, _, k in mu.entries)
+        for mu in mult
+    ]
+    checked.clear()
+    monkeypatch.setattr(
+        sring.multipliers,
+        "is_valid_outer_multiplier",
+        lambda ring, om: checked.append(om) or is_valid_outer_multiplier(ring, om),
+    )
+    _, report = is_separable(a)
+    assert sorted(checked, key=Multiplier.canonical_vector) == sorted(
+        image, key=Multiplier.canonical_vector
+    )
+    assert report.theta_image_order == 4
 
 
 def test_is_separable_on_named_instances(cyc5, units8, units4, rank2_4):

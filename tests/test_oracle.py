@@ -9,12 +9,14 @@ import pytest
 from sring import (
     CosetClosureNotCoset,
     LimitExceeded,
+    Multiplier,
     SRing,
     coset_closure,
     cyclotomic_sring,
     dual_sring,
     enumerate_srings,
     find_isomorphism,
+    fs_of,
     full_sring,
     intersect,
     is_separable,
@@ -30,6 +32,7 @@ import sring.oracle
 from sring.errors import ValidationError
 from sring.modarith import divisors, unit_subgroups
 from sring.oracle import _is_coset
+from test_reference_kernels import _families_all_pairs, _trivial
 
 
 def set_partitions(items):
@@ -216,19 +219,50 @@ def test_coset_closure_respects_limit():
         coset_closure(rank2_sring(17))
 
 
-@pytest.mark.parametrize("n, gens", [(72, [11, 13]), (144, [5, 7])])
+# realized and all similarities of each known non-separable ring, as the
+# brute-force oracle counts them
+WITNESS_COUNTS = {
+    (72, (11, 13)): (8, 16),
+    (144, (5, 7)): (8, 16),
+    (144, (11, 13)): (16, 64),
+    (144, (5,)): (16, 32),
+    (144, (5, 19)): (8, 16),
+}
+
+
+@pytest.mark.parametrize("n, gens", [(n, list(gens)) for n, gens in WITNESS_COUNTS])
 def test_nonseparable_witness(n, gens):
-    # the smallest known non-separable rings: the oracle finds 8 of the 16
-    # similarities realized, and the criterion must say the same
+    # the smallest known non-separable rings: the oracle finds only some of
+    # the similarities realized, and the criterion must say the same
     a = cyclotomic_sring(n, gens)
-    realized = len(phi_infty(a, max_n=a.n))
-    total = len(similarities(a, a))
-    assert (realized, total) == (8, 16)
+    realized = phi_infty(a, max_n=a.n)
+    sims = similarities(a, a)
+    assert (len(realized), len(sims)) == WITNESS_COUNTS[n, tuple(gens)]
     separable, report = is_separable(a)
     assert separable is False
-    assert report.fmult_order == total
-    assert report.theta_image_order == realized
+    assert report.fmult_order == len(sims)
+    assert report.theta_image_order == len(realized)
+    assert report.mult_order == len(_families_all_pairs(a, _trivial))
+    # the canonical missing outer multiplier is the smallest one carried by
+    # a similarity no bijection realizes
+    maps = {phi.class_map for phi in realized}
+    unrealized = [fs_of(a, phi) for phi in sims if phi.class_map not in maps]
+    assert report.missing == min(unrealized, key=Multiplier.canonical_vector)
     assert is_separable(dual_sring(a))[0] is False
+
+
+def test_bruteforce_verdict_runs_one_similarity_search(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append(a.n)
+        return similarities(a, b)
+
+    monkeypatch.setattr(sring.oracle, "similarities", counted)
+    for a in enumerate_srings(8):
+        calls.clear()
+        is_separable_bruteforce(a)
+        assert calls == [8]
 
 
 def test_nonseparable_rings_exist_is_not_assumed():

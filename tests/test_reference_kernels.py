@@ -5,8 +5,10 @@ The reference implementations below are the earlier bodies of
 ``core._wl_stabilize``, ``SRing._check_ring`` and ``duality.dual_sring``:
 one class-product convolution per pair of classes, and one ``character_sum``
 per class and character; of ``multipliers._families`` and
-``multipliers._is_family``, which test every pair of sections of ``frs0``;
-and of ``similarities.similarities``, ``is_similarity``, ``from_unit`` and
+``multipliers._is_family``, which test every pair of sections of ``frs0``,
+and of ``multipliers.theta``, which re-sorted every projected family through
+the public ``Multiplier`` constructor and validated it on every call; and of
+``similarities.similarities``, ``is_similarity``, ``from_unit`` and
 ``inducing_unit``, which read structure constants from ``product_counts``
 vectors and compare images as frozensets.  They are kept here as test
 oracles only.
@@ -19,8 +21,10 @@ from itertools import permutations
 from math import gcd
 from typing import Optional
 
+import sring.multipliers
 from sring import (
     SRing,
+    TheoryViolation,
     ValidationError,
     aut_stabilizer,
     character_sum,
@@ -30,14 +34,17 @@ from sring import (
     fmult_group,
     from_unit,
     frs0,
+    fs_of,
     inducing_unit,
     is_quasidense,
+    is_separable,
     is_similarity,
     is_valid_multiplier,
     is_valid_outer_multiplier,
     mult_group,
     restrict_to,
     similarities,
+    theta,
     validate,
 )
 from sring.core import _wl_stabilize
@@ -163,6 +170,13 @@ def _is_family_all_pairs(a: SRing, fam: Multiplier, stab_of) -> bool:
     return True
 
 
+def _theta_reference(a: SRing, mu: Multiplier) -> Multiplier:
+    om = Multiplier((s, aut_stabilizer(a, s).elements, k) for s, _, k in mu.entries)
+    if not _is_family_all_pairs(a, om, _stab_of(a)):
+        raise TheoryViolation(f"projection of {mu!r} is not an outer multiplier")
+    return om
+
+
 def _orbit_labels(rng: random.Random, n: int, labels: int) -> list[int]:
     """{0} alone, then every orbit of a random unit subgroup under a random label."""
     sub = rng.choice(unit_subgroups(n))
@@ -270,21 +284,28 @@ def _perturbations(fam: Multiplier):
             )
 
 
-def test_multiplier_layer_matches_all_pairs_reference():
-    # Every quasidense ring with n <= 30 and one with |frs0| = 81: the same
-    # families in the same order, and the same verdicts of both validators on
-    # every family and, for n <= 16, on every one-section perturbation of one.
+def _quasidense_rings() -> list[SRing]:
+    """Every quasidense ring with n <= 30, and one with |frs0| = 81."""
     rings = [a for n in range(1, 31) for a in enumerate_srings(n) if is_quasidense(a)]
     assert len(rings) == 618
     rings.append(cyclotomic_sring(210, [-1]))
     assert len(frs0(rings[-1])) == 81
+    return rings
+
+
+def test_multiplier_layer_matches_all_pairs_reference():
+    # The same families in the same order, each already as the public
+    # constructor would build it, and the same verdicts of both validators on
+    # every family and, for n <= 16, on every one-section perturbation of one.
     verdicts = set()
-    for a in rings:
+    for a in _quasidense_rings():
         stab_of = _stab_of(a)
         mult, fmult = mult_group(a), fmult_group(a)
         assert mult == _families_all_pairs(a, _trivial), a
         assert fmult == _families_all_pairs(a, stab_of), a
         fams = list(dict.fromkeys(mult + fmult))
+        for fam in fams:
+            assert fam.entries == Multiplier(fam.entries).entries, (a, fam)
         if a.n <= 16:
             fams += [p for fam in fams for p in _perturbations(fam)]
         for fam in fams:
@@ -295,6 +316,39 @@ def test_multiplier_layer_matches_all_pairs_reference():
             ), (a, fam)
             verdicts.add(got)
     assert len(verdicts) == 4
+
+
+def test_theta_matches_reference_projection(monkeypatch):
+    # theta on every multiplier, and the image is_separable builds, against
+    # the projection through the public constructor
+    images: list[Multiplier] = []
+
+    def recorded(a, mu):
+        om = theta(a, mu)
+        images.append(om)
+        return om
+
+    monkeypatch.setattr(sring.multipliers, "theta", recorded)
+    for a in _quasidense_rings():
+        expected = set()
+        for mu in mult_group(a):
+            ref = _theta_reference(a, mu)
+            assert theta(a, mu).entries == ref.entries, (a, mu)
+            expected.add(ref)
+        images.clear()
+        _, report = is_separable(a)
+        assert set(images) == expected, a
+        assert len(images) == len(expected) == report.theta_image_order, a
+
+
+def test_fs_of_families_are_canonical():
+    # fs_of builds its family without the public constructor, so it must
+    # already be in section order with the smallest unit of each coset; the
+    # ring with |frs0| = 81 is left out, its similarity search alone takes 3 s
+    for a in _quasidense_rings()[:-1]:
+        for phi in similarities(a, a):
+            om = fs_of(a, phi)
+            assert om.entries == Multiplier(om.entries).entries, (a, phi)
 
 
 def _is_similarity_by_vectors(a: SRing, b: SRing, class_map: tuple[int, ...]) -> bool:

@@ -49,6 +49,15 @@ def test_section_validation():
         Section(12, 2, 8)
     with pytest.raises(NotASection):
         Section(12, 4, 2)
+    with pytest.raises(NotASection, match=r"^\(5, 6\) is not a section of Z_12$"):
+        Section(12, 5, 6)
+    assert repr(s) == "Section(n=12, l=2, u=6)"
+    assert sorted([s, Section(12, 1, 12), Section(6, 2, 6), Section(12, 1, 4)]) == [
+        Section(6, 2, 6),
+        Section(12, 1, 4),
+        Section(12, 1, 12),
+        s,
+    ]
 
 
 def test_ring_sections(cyc5, units8):
