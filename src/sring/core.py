@@ -58,7 +58,7 @@ def _canonical_classes(n: int, classes: Iterable[Iterable[int]]) -> tuple[tuple[
             seen.add(x)
         cleaned.append(tuple(cls))
     if len(seen) != n:
-        missing = min(set(range(n)) - seen)
+        missing = min(set(range(len(seen) + 1)) - seen)
         raise NotAPartition(f"element {missing} is not covered")
     return tuple(sorted(cleaned, key=lambda c: c[0]))
 

@@ -21,7 +21,7 @@ from .errors import TheoryViolation
 from .modarith import unit_mod, units
 from .sections import (
     Section,
-    _proj_component,
+    _proj_key,
     frs0,
     is_quasidense,
     reduce_to_quasidense,
@@ -179,14 +179,14 @@ def _constraints(a: SRing) -> tuple[
     if hit is None:
         secs = tuple(sorted(frs0(a), key=lambda s: (-s.m, s.l, s.u)))
         order = tuple(sorted(range(len(secs)), key=secs.__getitem__))
-        comp = _proj_component(a.n)
+        keys = [_proj_key(s) for s in secs]
         supers = tuple(
             tuple(j for j, t in enumerate(secs[:i]) if _is_subsection(s, t))
             for i, s in enumerate(secs)
         )
         peers = tuple(
-            tuple(j for j, t in enumerate(secs[:i]) if comp[t] == comp[s])
-            for i, s in enumerate(secs)
+            tuple(j for j in range(i) if keys[j] == key)
+            for i, key in enumerate(keys)
         )
         hit = a._cache["constraints"] = (secs, supers, peers, order)
     return hit  # type: ignore[return-value]

@@ -353,7 +353,7 @@ def _coset_rings_refining(a: SRing) -> list[SRing]:
     )
     if not refines(full_sring(n), a):  # pragma: no cover - trivially true
         raise TheoryViolation("full ring does not refine the input")
-    rec(start, frozenset({frozenset({0})}) if n > 1 else frozenset({frozenset({0})}))
+    rec(start, frozenset({frozenset({0})}))
     kept = []
     for ring in out:
         if refines(ring, a) and all(_is_coset(n, cls) for cls in ring.classes):

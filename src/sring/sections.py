@@ -11,7 +11,6 @@ canonical identification with Z_m given by multiplication by a unit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 from typing import NamedTuple, Optional
 
@@ -28,7 +27,7 @@ from .core import (
     tensor,
 )
 from .errors import NotASection, NotEquivalent, SingularConditionViolated, TheoryViolation
-from .modarith import is_prime, unit_mod
+from .modarith import is_prime
 
 __all__ = [
     "Section",
@@ -63,7 +62,7 @@ class Section(_SectionFields):
     __slots__ = ()
 
     def __new__(cls, n: int, l: int, u: int) -> "Section":
-        if l < 1 or u % l or n % u:
+        if n < 1 or l < 1 or u < 1 or u % l or n % u:
             raise NotASection(f"({l}, {u}) is not a section of Z_{n}")
         return super().__new__(cls, n, l, u)
 
@@ -109,44 +108,24 @@ def is_multiple(sp: Section, s: Section) -> bool:
     return s.u * sp.l // g == sp.u and g == s.l
 
 
-@lru_cache(maxsize=None)
-def _all_sections(n: int) -> tuple[Section, ...]:
-    from .modarith import divisors
-
-    return tuple(
-        Section(n, l, u) for l in divisors(n) for u in divisors(n) if u % l == 0
-    )
-
-
-@lru_cache(maxsize=None)
-def _proj_graph(n: int) -> dict[Section, tuple[Section, ...]]:
-    secs = _all_sections(n)
-    adj: dict[Section, list[Section]] = {s: [] for s in secs}
-    for s in secs:
-        for t in secs:
-            if s != t and (is_multiple(t, s) or is_multiple(s, t)):
-                adj[s].append(t)
-    return {s: tuple(ts) for s, ts in adj.items()}
+def _coprime_part(s: Section) -> int:
+    """The largest divisor of ``s.u`` coprime to ``s.m``; it also divides ``s.l``."""
+    c, g = s.u, s.m
+    while (g := gcd(c, g)) > 1:
+        c //= g
+    return c
 
 
-@lru_cache(maxsize=None)
-def _proj_component(n: int) -> dict[Section, int]:
-    graph = _proj_graph(n)
-    comp: dict[Section, int] = {}
-    next_id = 0
-    for s in _all_sections(n):
-        if s in comp:
-            continue
-        queue = [s]
-        comp[s] = next_id
-        while queue:
-            cur = queue.pop()
-            for t in graph[cur]:
-                if t not in comp:
-                    comp[t] = next_id
-                    queue.append(t)
-        next_id += 1
-    return comp
+def _proj_key(s: Section) -> tuple[int, int]:
+    """Names the projective class of ``s``: equal keys, equivalent sections.
+
+    Z_n is the product of its Sylow subgroups.  At a prime dividing m, a
+    multiple keeps the p-parts of l and of u.  At any other prime, l and u
+    have equal p-parts, which a chain of multiples moves together to any
+    exponent.  So the key divides the part coprime to m out of l and u.
+    """
+    c = _coprime_part(s)
+    return s.l // c, s.u // c
 
 
 def _unique_extreme(members: tuple[Section, ...], *, smallest: bool) -> Optional[Section]:
@@ -164,12 +143,11 @@ def proj_classes(n: int, sections: tuple[Section, ...] | list[Section]) -> list[
     sections of Z_n, so two inputs may be linked through sections that are
     not in the input.
     """
-    comp = _proj_component(n)
-    buckets: dict[int, list[Section]] = {}
+    buckets: dict[tuple[int, int], list[Section]] = {}
     for s in sections:
         if s.n != n:
             raise ValueError(f"{s} does not live over Z_{n}")
-        buckets.setdefault(comp[s], []).append(s)
+        buckets.setdefault(_proj_key(s), []).append(s)
     out = []
     for _, group in sorted(buckets.items(), key=lambda kv: min(kv[1])):
         members = tuple(sorted(set(group)))
@@ -183,67 +161,49 @@ def proj_classes(n: int, sections: tuple[Section, ...] | list[Section]) -> list[
     return out
 
 
-def _step_unit(frm: Section, to: Section) -> int:
-    """Coordinate change along one edge of the multiple relation."""
-    m = frm.m
-    if is_multiple(to, frm):
-        return unit_mod(to.u // frm.u, m)
-    if is_multiple(frm, to):
-        return unit_mod(pow(frm.u // to.u, -1, m), m) if m > 1 else 1
-    raise NotEquivalent(f"{frm} and {to} are not directly related")
-
-
 def f_unit(s: Section, t: Section) -> int:
     """The unit c mod m carrying canonical coordinates of ``s`` to those of ``t``.
 
-    The unit is composed along a path in the multiple relation; it does not
-    depend on the chosen path.
+    One step up the multiple relation, from (l, u) to (l', u'), multiplies
+    coordinates by u'/u, which is the ratio of the parts of the two sections
+    coprime to m.  Any path from ``s`` to ``t`` therefore composes to the
+    ratio of those parts at its ends, so the unit depends on no path.
     """
     if s.n != t.n:
         raise NotEquivalent("sections live over different groups")
-    if s.m != t.m or _proj_component(s.n)[s] != _proj_component(t.n)[t]:
+    if _proj_key(s) != _proj_key(t):
         raise NotEquivalent(f"{s} and {t} are not projectively equivalent")
-    if s == t:
-        return 1
-    graph = _proj_graph(s.n)
-    parent: dict[Section, Section] = {s: s}
-    queue = [s]
-    while queue:
-        cur = queue.pop(0)
-        if cur == t:
-            break
-        for nxt in graph[cur]:
-            if nxt not in parent:
-                parent[nxt] = cur
-                queue.append(nxt)
-    unit = 1
-    cur = t
-    while cur != s:
-        prev = parent[cur]
-        unit = unit * _step_unit(prev, cur) % t.m if t.m > 1 else 1
-        cur = prev
-    return unit_mod(unit, t.m)
+    m = s.m
+    return _coprime_part(t) * pow(_coprime_part(s), -1, m) % m if m > 1 else 1
 
 
 # -- distinguished sections of a ring ---------------------------------------
 
 
-def principal_sections(a: SRing) -> tuple[Section, ...]:
-    """The sections generated-subgroup-over-radical of each class of ``a``."""
-    hit = a._cache.get("principal_sections")
+def _class_sections(a: SRing) -> tuple[Section, ...]:
+    """Each class's generated-over-radical section, in class order."""
+    hit = a._cache.get("class_sections")
     if hit is None:
-        out = set()
         secs = set(sections_lattice(a))
+        # classes with the same section share one Section for the ring's lifetime
+        made: dict[tuple[int, int], Section] = {}
+        out = []
         for cls in a.classes:
-            l = radical(a.n, cls)
-            u = generated(a.n, cls)
+            l, u = radical(a.n, cls), generated(a.n, cls)
             if (l, u) not in secs:  # pragma: no cover - guaranteed by theory
                 raise TheoryViolation(
                     f"radical/generated pair ({l}, {u}) of {list(cls)} is not a section"
                 )
-            out.add(Section(a.n, l, u))
-        hit = a._cache["principal_sections"] = tuple(sorted(out))
+            if (l, u) not in made:
+                made[l, u] = Section(a.n, l, u)
+            out.append(made[l, u])
+        hit = a._cache["class_sections"] = tuple(out)
     return hit  # type: ignore[return-value]
+
+
+def principal_sections(a: SRing) -> tuple[Section, ...]:
+    """The sections generated-subgroup-over-radical of each class of ``a``."""
+    return tuple(sorted(set(_class_sections(a))))
 
 
 def frs0(a: SRing) -> tuple[Section, ...]:
@@ -257,9 +217,9 @@ def frs0(a: SRing) -> tuple[Section, ...]:
             for q in secs
             if any(q.l % p.l == 0 and p.u % q.u == 0 for p in principals)
         }
-        comp = _proj_component(a.n)
-        good = {comp[q] for q in subprincipal}
-        hit = a._cache["frs0"] = tuple(s for s in secs if comp[s] in good)
+        keys = {s: _proj_key(s) for s in secs}
+        good = {keys[q] for q in subprincipal}
+        hit = a._cache["frs0"] = tuple(s for s in secs if keys[s] in good)
     return hit  # type: ignore[return-value]
 
 
@@ -290,8 +250,8 @@ def singular_witness(a: SRing) -> Optional[tuple[ProjClass, Section]]:
     witness = _composite_rank2_section(a)
     if witness is None:
         return None
-    comp = _proj_component(a.n)
-    members = tuple(t for t in ring_sections(a) if comp[t] == comp[witness])
+    key = _proj_key(witness)
+    members = tuple(t for t in ring_sections(a) if _proj_key(t) == key)
     for t in members:
         if restrict_to(a, t).rank != 2:  # pragma: no cover - theory
             raise SingularConditionViolated(f"{t} is equivalent to {witness} but not rank 2")

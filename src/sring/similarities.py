@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from operator import floordiv, itemgetter
 from typing import Optional
 
-from .core import SRing, generated, radical
+from .core import SRing
 from .errors import NoInducingUnit, NotASection, ReconstructionFailed, TheoryViolation
 from .modarith import units
 from .multipliers import Multiplier, aut_stabilizer, is_valid_outer_multiplier
-from .sections import Section, frs0, is_quasidense, restrict_to
+from .sections import Section, _class_sections, frs0, is_quasidense, restrict_to
 
 __all__ = [
     "Similarity",
@@ -287,16 +287,6 @@ def fs_of(a: SRing, phi: Similarity) -> Multiplier:
     if not is_valid_outer_multiplier(a, om):  # pragma: no cover - theory
         raise TheoryViolation(f"extracted family of {phi} is not an outer multiplier")
     return om
-
-
-def _class_sections(a: SRing) -> tuple[Section, ...]:
-    """Each class's generated-over-radical section, in class order."""
-    hit = a._cache.get("class_sections")
-    if hit is None:
-        hit = a._cache["class_sections"] = tuple(
-            Section(a.n, radical(a.n, cls), generated(a.n, cls)) for cls in a.classes
-        )
-    return hit  # type: ignore[return-value]
 
 
 def similarity_from_outer(a: SRing, om: Multiplier) -> Similarity:

@@ -44,6 +44,12 @@ def test_validate_diagnoses_bad_input(ring_file, capsys):
     assert "NotInverseClosed" in err and "[1]" in err
 
 
+def test_validate_rejects_huge_uncovered_group(ring_file, capsys):
+    path = ring_file("huge.json", 10**12, [[0]])
+    code, out, err = run(capsys, "validate", path)
+    assert code == 2 and "element 1 is not covered" in err and not out
+
+
 def test_validate_rejects_malformed_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -51,6 +51,15 @@ def test_not_a_partition():
         validate(4, [[0], [1, 2, 5]])
 
 
+def test_uncovered_element_is_named_without_listing_z_n():
+    # The first uncovered residue is found among the first len(seen) + 1,
+    # so a huge n with too few elements is rejected in constant memory.
+    with pytest.raises(NotAPartition, match=r"^element 1 is not covered$"):
+        SRing(10**12, [[0]])
+    with pytest.raises(NotAPartition, match=r"^element 2 is not covered$"):
+        SRing(10**12, [[0], [1, 3]])
+
+
 def test_missing_identity_class():
     with pytest.raises(MissingIdentityClass):
         validate(4, [[0, 2], [1, 3]])

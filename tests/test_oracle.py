@@ -19,12 +19,14 @@ from sring import (
     fs_of,
     full_sring,
     intersect,
+    is_quasidense,
     is_separable,
     is_separable_bruteforce,
     phi_infty,
     rank2_sring,
     refines,
     similarities,
+    tensor,
     validate,
     verify_isomorphism,
 )
@@ -249,6 +251,19 @@ def test_nonseparable_witness(n, gens):
     unrealized = [fs_of(a, phi) for phi in sims if phi.class_map not in maps]
     assert report.missing == min(unrealized, key=Multiplier.canonical_vector)
     assert is_separable(dual_sring(a))[0] is False
+
+
+def test_tensor_witness_at_360():
+    # A quasidense tensor product with the n = 72 witness as a factor.  Only
+    # this ring's verdict is pinned; nothing here is a rule about tensors.
+    a = tensor(cyclotomic_sring(72, [11, 13]), cyclotomic_sring(5, [-1]))
+    assert (a.n, a.rank) == (360, 48) and is_quasidense(a)
+    separable, report = is_separable(a)
+    assert separable is False
+    # every similarity carries one outer multiplier (the phi-iso identity),
+    # counted here by the search that does not use the multiplier layer
+    assert len(similarities(a, a)) == report.fmult_order
+    assert report.theta_image_order < report.fmult_order
 
 
 def test_bruteforce_verdict_runs_one_similarity_search(monkeypatch):

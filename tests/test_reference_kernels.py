@@ -1,10 +1,13 @@
-"""Refinement, ring validation, the dual, the multiplier layer and the
-similarity layer against the code they replaced.
+"""Refinement, ring validation, the dual, projective equivalence, the
+multiplier layer and the similarity layer against the code they replaced.
 
 The reference implementations below are the earlier bodies of
 ``core._wl_stabilize``, ``SRing._check_ring`` and ``duality.dual_sring``:
 one class-product convolution per pair of classes, and one ``character_sum``
-per class and character; of ``multipliers._families`` and
+per class and character; of ``sections.proj_classes`` and
+``sections.f_unit``, which label the components of the multiple relation's
+graph over all sections of Z_n and compose ``f_unit`` along a BFS path; of
+``multipliers._families`` and
 ``multipliers._is_family``, which test every pair of sections of ``frs0``,
 and of ``multipliers.theta``, which re-sorted every projected family through
 the public ``Multiplier`` constructor and validated it on every call; and of
@@ -17,6 +20,7 @@ oracles only.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import permutations
 from math import gcd
 from typing import Optional
@@ -25,12 +29,15 @@ import sring.multipliers
 from sring import (
     SRing,
     TheoryViolation,
+    NotEquivalent,
+    Section,
     ValidationError,
     aut_stabilizer,
     character_sum,
     closure,
     cyclotomic_sring,
     dual_sring,
+    f_unit,
     fmult_group,
     from_unit,
     frs0,
@@ -40,8 +47,10 @@ from sring import (
     is_separable,
     is_similarity,
     is_valid_multiplier,
+    is_multiple,
     is_valid_outer_multiplier,
     mult_group,
+    proj_classes,
     restrict_to,
     similarities,
     theta,
@@ -49,10 +58,10 @@ from sring import (
 )
 from sring.core import _wl_stabilize
 from sring.errors import NotInverseClosed, NotMultiplicativelyClosed
-from sring.modarith import unit_mod, unit_subgroups, units
+from sring.modarith import divisors, unit_mod, unit_subgroups, units
 from sring.multipliers import Multiplier, _is_subsection
 from sring.oracle import enumerate_srings
-from sring.sections import _proj_component
+from sring.sections import _proj_key
 from sring.similarities import Similarity, _constants
 
 
@@ -109,6 +118,111 @@ def _dual_pairwise(a: SRing) -> SRing:
         key = tuple(character_sum(a.n, cls, t).coeffs for cls in a.classes)
         rows.setdefault(key, []).append(t)
     return SRing(a.n, rows.values(), check=False)
+
+
+@lru_cache(maxsize=None)
+def _all_sections(n: int) -> tuple[Section, ...]:
+    return tuple(
+        Section(n, l, u) for l in divisors(n) for u in divisors(n) if u % l == 0
+    )
+
+
+@lru_cache(maxsize=None)
+def _proj_graph(n: int) -> dict[Section, tuple[Section, ...]]:
+    secs = _all_sections(n)
+    adj: dict[Section, list[Section]] = {s: [] for s in secs}
+    for s in secs:
+        for t in secs:
+            if s != t and (is_multiple(t, s) or is_multiple(s, t)):
+                adj[s].append(t)
+    return {s: tuple(ts) for s, ts in adj.items()}
+
+
+@lru_cache(maxsize=None)
+def _proj_component(n: int) -> dict[Section, int]:
+    graph = _proj_graph(n)
+    comp: dict[Section, int] = {}
+    next_id = 0
+    for s in _all_sections(n):
+        if s in comp:
+            continue
+        queue = [s]
+        comp[s] = next_id
+        while queue:
+            cur = queue.pop()
+            for t in graph[cur]:
+                if t not in comp:
+                    comp[t] = next_id
+                    queue.append(t)
+        next_id += 1
+    return comp
+
+
+def _step_unit(frm: Section, to: Section) -> int:
+    m = frm.m
+    if is_multiple(to, frm):
+        return unit_mod(to.u // frm.u, m)
+    if is_multiple(frm, to):
+        return unit_mod(pow(frm.u // to.u, -1, m), m) if m > 1 else 1
+    raise NotEquivalent(f"{frm} and {to} are not directly related")
+
+
+def _f_unit_bfs(s: Section, t: Section) -> int:
+    if s.n != t.n:
+        raise NotEquivalent("sections live over different groups")
+    if s.m != t.m or _proj_component(s.n)[s] != _proj_component(t.n)[t]:
+        raise NotEquivalent(f"{s} and {t} are not projectively equivalent")
+    if s == t:
+        return 1
+    graph = _proj_graph(s.n)
+    parent: dict[Section, Section] = {s: s}
+    queue = [s]
+    while queue:
+        cur = queue.pop(0)
+        if cur == t:
+            break
+        for nxt in graph[cur]:
+            if nxt not in parent:
+                parent[nxt] = cur
+                queue.append(nxt)
+    unit = 1
+    cur = t
+    while cur != s:
+        prev = parent[cur]
+        unit = unit * _step_unit(prev, cur) % t.m if t.m > 1 else 1
+        cur = prev
+    return unit_mod(unit, t.m)
+
+
+def _reference_classes(n: int) -> dict[int, list[Section]]:
+    classes: dict[int, list[Section]] = {}
+    for s, c in _proj_component(n).items():
+        classes.setdefault(c, []).append(s)
+    return classes
+
+
+def test_proj_key_partition_matches_graph_components():
+    for n in [*range(1, 401), 720, 1024, 1260]:
+        secs = _all_sections(n)
+        expected = sorted(sorted(c) for c in _reference_classes(n).values())
+        by_key: dict[tuple[int, int], list[Section]] = {}
+        for s in secs:
+            by_key.setdefault(_proj_key(s), []).append(s)
+        assert sorted(sorted(c) for c in by_key.values()) == expected, n
+        assert [c.members for c in proj_classes(n, secs)] == [
+            tuple(c) for c in sorted(expected, key=min)
+        ], n
+
+
+def test_f_unit_matches_bfs_on_every_equivalent_pair():
+    pairs = 0
+    for n in [*range(1, 241), 720]:
+        for members in _reference_classes(n).values():
+            for s in members:
+                for t in members:
+                    assert f_unit(s, t) == _f_unit_bfs(s, t), (s, t)
+                    pairs += 1
+    assert pairs == 22174
 
 
 def _compatible_all_pairs(s, rep, chosen, canon, stabs, comp) -> bool:

@@ -26,7 +26,7 @@ from sring import (
 )
 from sring.modarith import divisors, unit_mod
 from sring.oracle import enumerate_srings
-from sring.sections import _proj_component
+from test_reference_kernels import _proj_component
 
 
 def all_sections(n):
@@ -51,6 +51,9 @@ def test_section_validation():
         Section(12, 4, 2)
     with pytest.raises(NotASection, match=r"^\(5, 6\) is not a section of Z_12$"):
         Section(12, 5, 6)
+    for n, l, u in [(12, 1, 0), (12, 1, -4), (12, 2, -6), (0, 1, 1), (-6, 1, 2)]:
+        with pytest.raises(NotASection, match=rf"^\({l}, {u}\) is not a section of Z_{n}$"):
+            Section(n, l, u)
     assert repr(s) == "Section(n=12, l=2, u=6)"
     assert sorted([s, Section(12, 1, 12), Section(6, 2, 6), Section(12, 1, 4)]) == [
         Section(6, 2, 6),
