@@ -11,7 +11,7 @@ from .core import SRing, a_subgroups, closure
 from .duality import dual_sring
 from .errors import LimitExceeded, SRingError, ValidationError
 from .multipliers import SeparabilityReport, is_separable
-from .oracle import enumerate_srings, is_separable_bruteforce
+from .oracle import ENUMERATE_BOUND, enumerate_srings, is_separable_bruteforce
 from .sections import (
     ProjClass,
     frs0,
@@ -191,10 +191,7 @@ def _cmd_dual(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    if args.max_n is None:
-        rings = enumerate_srings(args.n)
-    else:
-        rings = enumerate_srings(args.n, max_n=args.max_n)
+    rings = enumerate_srings(args.n, max_n=args.max_n)
     witnesses = []
     if args.report_nonseparable:
         witnesses = [a for a in rings if not is_separable(a)[0]]
@@ -277,7 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="all S-rings over Z_n")
     p.add_argument("n", type=int, help="order of the underlying cyclic group")
     p.add_argument("--json", action="store_true", help="emit canonical JSON")
-    p.add_argument("--max-n", type=int, default=None, help="enumeration size limit")
+    p.add_argument(
+        "--max-n", type=int, default=ENUMERATE_BOUND, help="enumeration size limit"
+    )
     p.add_argument(
         "--report-nonseparable",
         action="store_true",

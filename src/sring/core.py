@@ -8,9 +8,11 @@ constant-coefficient combination of class sums.
 
 from __future__ import annotations
 
+from collections import Counter
+from functools import wraps
 from math import gcd
 from operator import add
-from typing import Collection, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence, TypeVar, cast
 
 from .errors import (
     MissingIdentityClass,
@@ -41,6 +43,32 @@ __all__ = [
     "cyclotomic_sring",
     "refines",
 ]
+
+
+_F = TypeVar("_F", bound=Callable)
+
+
+def _per_ring(fn: _F) -> _F:
+    """Keep ``fn(a, *args)`` for the life of the ring ``a``.
+
+    Values live in ``a._cache[name][args]``, under the function's qualified
+    name rather than the function, so that a ring with a full cache still
+    pickles.  A call that raises keeps nothing, so a failed build raises
+    again on the next call.
+    """
+    name = f"{fn.__module__}.{fn.__qualname__}"
+
+    @wraps(fn)
+    def memo(a: "SRing", *args):
+        try:
+            return a._cache[name][args]
+        except KeyError:
+            pass
+        value = fn(a, *args)
+        a._cache.setdefault(name, {})[args] = value
+        return value
+
+    return cast(_F, memo)
 
 
 def _canonical_classes(n: int, classes: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
@@ -85,9 +113,8 @@ class SRing:
             for x in cls:
                 class_of[x] = i
         self.class_of = tuple(class_of)
-        self._products: dict[tuple[int, int], tuple[int, ...]] = {}
-        self._restrictions: dict[tuple[int, int], "SRing"] = {}
-        self._cache: dict[str, object] = {}
+        # derived data of this ring, filled by the functions under _per_ring
+        self._cache: dict[str, dict[tuple, object]] = {}
         if check:
             self._check_ring()
 
@@ -116,15 +143,10 @@ class SRing:
     def inverse_class(self, i: int) -> int:
         return self.class_of[(-self.classes[i][0]) % self.n]
 
+    @_per_ring
     def product_counts(self, i: int, j: int) -> tuple[int, ...]:
         """Coefficient vector of the class-sum product: counts of x+y at each residue."""
-        key = (i, j) if i <= j else (j, i)
-        hit = self._products.get(key)
-        if hit is None:
-            hit = self._products[key] = tuple(
-                _convolve(self.n, self.classes[key[0]], self.classes[key[1]])
-            )
-        return hit
+        return tuple(_convolve(self.n, self.classes[i], self.classes[j]))
 
     def _check_ring(self) -> None:
         n = self.n
@@ -169,7 +191,8 @@ class SRing:
             raise ValidationError("classes must be a list of lists of integers")
         for c in classes:
             if len(set(c)) != len(c):
-                x = next(x for x in c if c.count(x) > 1)
+                counts = Counter(c)
+                x = next(x for x in c if counts[x] > 1)
                 raise ValidationError(f"element {x} appears twice in the class {c}")
         return cls(n, classes, check=check)
 
@@ -280,40 +303,31 @@ def refines(finer: SRing, coarser: SRing) -> bool:
 # -- subgroup lattice ------------------------------------------------------
 
 
+@_per_ring
 def a_subgroups(a: SRing) -> tuple[int, ...]:
     """Orders of the subgroups of Z_n that are unions of classes of ``a``."""
-    hit = a._cache.get("a_subgroups")
-    if hit is None:
-        out = []
-        for d in divisors(a.n):
-            h = subgroup(a.n, d)
-            touched = {a.class_of[x] for x in h}
-            if sum(len(a.classes[i]) for i in touched) == d:
-                out.append(d)
-        hit = a._cache["a_subgroups"] = tuple(out)
-    return hit  # type: ignore[return-value]
+    out = []
+    for d in divisors(a.n):
+        h = subgroup(a.n, d)
+        touched = {a.class_of[x] for x in h}
+        if sum(len(a.classes[i]) for i in touched) == d:
+            out.append(d)
+    return tuple(out)
 
 
+@_per_ring
 def sections_lattice(a: SRing) -> tuple[tuple[int, int], ...]:
     """All pairs (l, u) with l | u, both orders of subgroups respected by ``a``."""
-    hit = a._cache.get("sections_lattice")
-    if hit is None:
-        ds = a_subgroups(a)
-        hit = a._cache["sections_lattice"] = tuple(
-            (l, u) for l in ds for u in ds if u % l == 0
-        )
-    return hit  # type: ignore[return-value]
+    ds = a_subgroups(a)
+    return tuple((l, u) for l in ds for u in ds if u % l == 0)
 
 
+@_per_ring
 def restriction(a: SRing, l: int, u: int) -> SRing:
     """The induced S-ring on the section H_u / H_l, over Z_{u/l}.
 
     The element j*(n/u) + H_l maps to j mod (u/l).
     """
-    key = (l, u)
-    hit = a._restrictions.get(key)
-    if hit is not None:
-        return hit
     if (l, u) not in sections_lattice(a):
         raise NotASection(f"({l}, {u}) is not a section of {a!r}")
     step = a.n // u
@@ -324,11 +338,9 @@ def restriction(a: SRing, l: int, u: int) -> SRing:
             continue
         images[frozenset((x // step) % m for x in cls)] = None
     try:
-        result = SRing(m, images.keys(), check=True)
+        return SRing(m, images.keys(), check=True)
     except ValidationError as exc:  # pragma: no cover - guaranteed by theory
         raise TheoryViolation(f"restriction to ({l}, {u}) is not an S-ring: {exc}") from exc
-    a._restrictions[key] = result
-    return result
 
 
 def radical(n: int, xs: Iterable[int]) -> int:

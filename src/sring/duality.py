@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .core import SRing
+from .core import SRing, _per_ring
 from .errors import DualNotAnSRing, ValidationError
 from .modarith import cyclotomic_poly
 from .sections import Section
@@ -80,6 +80,7 @@ def character_sum(n: int, xs: Iterable[int], a: int) -> CyclotomicInt:
     return CyclotomicInt(n, tuple(acc))
 
 
+@_per_ring
 def dual_sring(a: SRing) -> SRing:
     """The S-ring on the character group, classes by equality of value rows.
 
@@ -88,25 +89,21 @@ def dual_sring(a: SRing) -> SRing:
     rows, which w is wide enough to hold, so no lane carries into the next
     and two packed sums are equal exactly when their coefficients are.
     """
-    hit = a._cache.get("dual")
-    if hit is None:
-        n = a.n
-        table = _power_table(n)
-        low = min(min(row) for row in table)
-        w = (n * (max(max(row) for row in table) - low)).bit_length()
-        packed = [
-            sum((c - low) << (w * i) for i, c in enumerate(row)) for row in table
-        ]
-        rows: dict[tuple[int, ...], list[int]] = {}
-        for t in range(n):
-            key = tuple(sum(packed[t * x % n] for x in cls) for cls in a.classes)
-            rows.setdefault(key, []).append(t)
-        try:
-            hit = SRing(n, rows.values(), check=True)
-        except ValidationError as exc:  # pragma: no cover - guaranteed by theory
-            raise DualNotAnSRing(f"character partition of {a!r}: {exc}") from exc
-        a._cache["dual"] = hit
-    return hit  # type: ignore[return-value]
+    n = a.n
+    table = _power_table(n)
+    low = min(min(row) for row in table)
+    w = (n * (max(max(row) for row in table) - low)).bit_length()
+    packed = [
+        sum((c - low) << (w * i) for i, c in enumerate(row)) for row in table
+    ]
+    rows: dict[tuple[int, ...], list[int]] = {}
+    for t in range(n):
+        key = tuple(sum(packed[t * x % n] for x in cls) for cls in a.classes)
+        rows.setdefault(key, []).append(t)
+    try:
+        return SRing(n, rows.values(), check=True)
+    except ValidationError as exc:  # pragma: no cover - guaranteed by theory
+        raise DualNotAnSRing(f"character partition of {a!r}: {exc}") from exc
 
 
 def dual_section(n: int, s: Section) -> Section:

@@ -16,7 +16,7 @@ from functools import cached_property
 from math import gcd
 from typing import Callable, Iterable, Optional
 
-from .core import SRing
+from .core import SRing, _per_ring
 from .errors import TheoryViolation
 from .modarith import unit_mod, units
 from .sections import (
@@ -51,20 +51,18 @@ class AutStabilizer:
     elements: tuple[int, ...]
 
 
+@_per_ring
 def aut_stabilizer(a: SRing, s: Section) -> AutStabilizer:
-    hit = a._cache.setdefault("aut_stabilizers", {})
-    if s not in hit:
-        rs = restrict_to(a, s)
-        m = s.m
-        keep = []
-        for k in units(m).elements:
-            if all(
-                frozenset((k * x) % m for x in cls) == frozenset(cls)
-                for cls in rs.classes
-            ):
-                keep.append(k)
-        hit[s] = AutStabilizer(s, tuple(keep))
-    return hit[s]
+    rs = restrict_to(a, s)
+    m = s.m
+    keep = []
+    for k in units(m).elements:
+        if all(
+            frozenset((k * x) % m for x in cls) == frozenset(cls)
+            for cls in rs.classes
+        ):
+            keep.append(k)
+    return AutStabilizer(s, tuple(keep))
 
 
 def _is_subsection(child: Section, parent: Section) -> bool:
@@ -159,6 +157,7 @@ _TRIVIAL = (1,)
 # -- enumeration -------------------------------------------------------------
 
 
+@_per_ring
 def _constraints(a: SRing) -> tuple[
     tuple[Section, ...],
     tuple[tuple[int, ...], ...],
@@ -175,21 +174,18 @@ def _constraints(a: SRing) -> tuple[
     constrains a family.  ``order`` lists the search indices in section
     order, the order of a family's entries.
     """
-    hit = a._cache.get("constraints")
-    if hit is None:
-        secs = tuple(sorted(frs0(a), key=lambda s: (-s.m, s.l, s.u)))
-        order = tuple(sorted(range(len(secs)), key=secs.__getitem__))
-        keys = [_proj_key(s) for s in secs]
-        supers = tuple(
-            tuple(j for j, t in enumerate(secs[:i]) if _is_subsection(s, t))
-            for i, s in enumerate(secs)
-        )
-        peers = tuple(
-            tuple(j for j in range(i) if keys[j] == key)
-            for i, key in enumerate(keys)
-        )
-        hit = a._cache["constraints"] = (secs, supers, peers, order)
-    return hit  # type: ignore[return-value]
+    secs = tuple(sorted(frs0(a), key=lambda s: (-s.m, s.l, s.u)))
+    order = tuple(sorted(range(len(secs)), key=secs.__getitem__))
+    keys = [_proj_key(s) for s in secs]
+    supers = tuple(
+        tuple(j for j, t in enumerate(secs[:i]) if _is_subsection(s, t))
+        for i, s in enumerate(secs)
+    )
+    peers = tuple(
+        tuple(j for j in range(i) if keys[j] == key)
+        for i, key in enumerate(keys)
+    )
+    return secs, supers, peers, order
 
 
 def _families(a: SRing, stab_of: Callable[[Section], tuple[int, ...]]) -> list[Multiplier]:

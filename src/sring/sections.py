@@ -16,6 +16,7 @@ from typing import NamedTuple, Optional
 
 from .core import (
     SRing,
+    _per_ring,
     a_subgroups,
     closure,
     full_sring,
@@ -70,10 +71,6 @@ class Section(_SectionFields):
     def m(self) -> int:
         """Order of the section quotient H_u / H_l."""
         return self.u // self.l
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.l == self.u
 
     def to_json_dict(self) -> dict:
         return {"l": self.l, "u": self.u}
@@ -180,25 +177,23 @@ def f_unit(s: Section, t: Section) -> int:
 # -- distinguished sections of a ring ---------------------------------------
 
 
+@_per_ring
 def _class_sections(a: SRing) -> tuple[Section, ...]:
     """Each class's generated-over-radical section, in class order."""
-    hit = a._cache.get("class_sections")
-    if hit is None:
-        secs = set(sections_lattice(a))
-        # classes with the same section share one Section for the ring's lifetime
-        made: dict[tuple[int, int], Section] = {}
-        out = []
-        for cls in a.classes:
-            l, u = radical(a.n, cls), generated(a.n, cls)
-            if (l, u) not in secs:  # pragma: no cover - guaranteed by theory
-                raise TheoryViolation(
-                    f"radical/generated pair ({l}, {u}) of {list(cls)} is not a section"
-                )
-            if (l, u) not in made:
-                made[l, u] = Section(a.n, l, u)
-            out.append(made[l, u])
-        hit = a._cache["class_sections"] = tuple(out)
-    return hit  # type: ignore[return-value]
+    secs = set(sections_lattice(a))
+    # classes with the same section share one Section for the ring's lifetime
+    made: dict[tuple[int, int], Section] = {}
+    out = []
+    for cls in a.classes:
+        l, u = radical(a.n, cls), generated(a.n, cls)
+        if (l, u) not in secs:  # pragma: no cover - guaranteed by theory
+            raise TheoryViolation(
+                f"radical/generated pair ({l}, {u}) of {list(cls)} is not a section"
+            )
+        if (l, u) not in made:
+            made[l, u] = Section(a.n, l, u)
+        out.append(made[l, u])
+    return tuple(out)
 
 
 def principal_sections(a: SRing) -> tuple[Section, ...]:
@@ -206,30 +201,25 @@ def principal_sections(a: SRing) -> tuple[Section, ...]:
     return tuple(sorted(set(_class_sections(a))))
 
 
+@_per_ring
 def frs0(a: SRing) -> tuple[Section, ...]:
     """Sections projectively equivalent to a subsection of a principal section."""
-    hit = a._cache.get("frs0")
-    if hit is None:
-        secs = ring_sections(a)
-        principals = principal_sections(a)
-        subprincipal = {
-            q
-            for q in secs
-            if any(q.l % p.l == 0 and p.u % q.u == 0 for p in principals)
-        }
-        keys = {s: _proj_key(s) for s in secs}
-        good = {keys[q] for q in subprincipal}
-        hit = a._cache["frs0"] = tuple(s for s in secs if keys[s] in good)
-    return hit  # type: ignore[return-value]
+    secs = ring_sections(a)
+    principals = principal_sections(a)
+    subprincipal = {
+        q
+        for q in secs
+        if any(q.l % p.l == 0 and p.u % q.u == 0 for p in principals)
+    }
+    keys = {s: _proj_key(s) for s in secs}
+    good = {keys[q] for q in subprincipal}
+    return tuple(s for s in secs if keys[s] in good)
 
 
+@_per_ring
 def is_quasidense(a: SRing) -> bool:
     """True when no section of ``a`` has rank 2 and composite order."""
-    hit = a._cache.get("is_quasidense")
-    if hit is None:
-        hit = _composite_rank2_section(a) is None
-        a._cache["is_quasidense"] = hit
-    return hit  # type: ignore[return-value]
+    return _composite_rank2_section(a) is None
 
 
 def _composite_rank2_section(a: SRing) -> Optional[Section]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from operator import floordiv, itemgetter
 from typing import Optional
 
-from .core import SRing
+from .core import SRing, _per_ring
 from .errors import NoInducingUnit, NotASection, ReconstructionFailed, TheoryViolation
 from .modarith import units
 from .multipliers import Multiplier, aut_stabilizer, is_valid_outer_multiplier
@@ -74,6 +74,7 @@ def identity_similarity(a: SRing) -> Similarity:
     return Similarity(a, a, tuple(range(a.rank)))
 
 
+@_per_ring
 def _constants(a: SRing) -> tuple[int, ...]:
     """The structure constants of ``a`` as one flat tuple.
 
@@ -81,18 +82,15 @@ def _constants(a: SRing) -> tuple[int, ...]:
     It counts the pairs (x, y) with x in X_i, y in X_j and x + y in X_k,
     divided by |X_k|, since every z in X_k is hit equally often.
     """
-    hit = a._cache.get("constants")
-    if hit is None:
-        n, r, cl = a.n, a.rank, a.class_of
-        counts = [0] * (r * r * r)
-        for x in range(n):
-            base = cl[x] * r
-            # cl[x:] + cl[:x] lists class_of[x + y] for y = 0..n-1
-            for j, k in zip(cl, cl[x:] + cl[:x]):
-                counts[(base + j) * r + k] += 1
-        sizes = [len(c) for c in a.classes] * (r * r)
-        hit = a._cache["constants"] = tuple(map(floordiv, counts, sizes))
-    return hit  # type: ignore[return-value]
+    n, r, cl = a.n, a.rank, a.class_of
+    counts = [0] * (r * r * r)
+    for x in range(n):
+        base = cl[x] * r
+        # cl[x:] + cl[:x] lists class_of[x + y] for y = 0..n-1
+        for j, k in zip(cl, cl[x:] + cl[:x]):
+            counts[(base + j) * r + k] += 1
+    sizes = [len(c) for c in a.classes] * (r * r)
+    return tuple(map(floordiv, counts, sizes))
 
 
 def is_similarity(a: SRing, b: SRing, class_map: tuple[int, ...]) -> bool:

@@ -264,13 +264,13 @@ def suite_coset_closure(max_n: int = 12) -> SuiteResult:
     return _sweep("coset-closure", max_n, range(1, max_n + 1), body)
 
 
-SUITES: dict[str, tuple[Callable[[int], SuiteResult], int]] = {
-    "axioms": (suite_axioms, 24),
-    "oracle": (suite_oracle, 16),
-    "phi-iso": (suite_phi_iso, 24),
-    "pgroups": (suite_pgroups, 32),
-    "duality": (suite_duality, 24),
-    "coset-closure": (suite_coset_closure, 12),
+SUITES: dict[str, Callable[..., SuiteResult]] = {
+    "axioms": suite_axioms,
+    "oracle": suite_oracle,
+    "phi-iso": suite_phi_iso,
+    "pgroups": suite_pgroups,
+    "duality": suite_duality,
+    "coset-closure": suite_coset_closure,
 }
 
 
@@ -278,5 +278,5 @@ def run_suite(name: str, max_n: int | None = None) -> SuiteResult:
     """Run one named suite, optionally overriding its default bound."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    func, default = SUITES[name]
-    return func(default if max_n is None else max_n)
+    func = SUITES[name]
+    return func() if max_n is None else func(max_n)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pickle
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,8 +20,10 @@ from sring import (
     a_subgroups,
     closure,
     cyclotomic_sring,
+    dual_sring,
     full_sring,
     generated,
+    is_separable,
     is_wreath,
     radical,
     rank2_sring,
@@ -28,7 +33,11 @@ from sring import (
     tensor,
     validate,
 )
+from sring import sections
+from sring.errors import ValidationError
+from sring.multipliers import aut_stabilizer
 from sring.oracle import enumerate_srings
+from sring.sections import Section
 
 
 def test_validate_accepts_named_instances(cyc5, units8, units4, rank2_4):
@@ -166,6 +175,57 @@ def test_restriction_rejects_non_section(units8, cyc5):
         restriction(cyc5, 1, 2)
 
 
+def test_restriction_is_kept_per_ring(units8):
+    assert restriction(units8, 2, 8) is restriction(units8, 2, 8)
+
+
+def test_failed_restriction_is_not_kept():
+    a = full_sring(8)
+    for _ in range(2):
+        with pytest.raises(NotASection):
+            restriction(a, 3, 5)
+
+
+def test_false_result_is_kept(monkeypatch):
+    calls = []
+    find = sections._composite_rank2_section
+
+    def counted(a):
+        calls.append(a)
+        return find(a)
+
+    monkeypatch.setattr(sections, "_composite_rank2_section", counted)
+    a = rank2_sring(4)
+    assert sections.is_quasidense(a) is False
+    assert sections.is_quasidense(a) is False
+    assert len(calls) == 1
+
+
+def test_aut_stabilizer_is_kept_per_section(units8):
+    whole, top = Section(8, 1, 8), Section(8, 2, 8)
+    first = aut_stabilizer(units8, whole)
+    assert aut_stabilizer(units8, top).elements == (1, 3)
+    assert aut_stabilizer(units8, whole) is first
+    assert first.elements == (1, 3, 5, 7)
+
+
+def test_ring_with_full_cache_pickles():
+    a = cyclotomic_sring(24, [5])
+    is_separable(a)
+    dual_sring(a)
+    a.product_counts(1, 2)
+    b = pickle.loads(pickle.dumps(a))
+    assert b == a
+    assert is_separable(b) == is_separable(a)
+
+
+def test_per_ring_memo_is_not_a_module_cache():
+    # a functools-style cache_clear would make the memo a module-level table
+    for fn in (restriction, a_subgroups, aut_stabilizer, sections.frs0):
+        assert not hasattr(fn, "cache_clear")
+        assert not hasattr(fn, "cache_info")
+
+
 def test_radical_and_generated():
     assert radical(8, [1, 3, 5, 7]) == 4
     assert radical(8, [2, 6]) == 2
@@ -218,6 +278,19 @@ def test_json_round_trip(units8):
     data = units8.to_json_dict()
     assert data == {"n": 8, "classes": [[0], [1, 3, 5, 7], [2, 6], [4]]}
     assert SRing.from_json_dict(data) == units8
+
+
+def test_duplicate_in_a_class_names_its_first_value():
+    with pytest.raises(ValidationError, match="element 1 appears twice"):
+        SRing.from_json_dict({"n": 4, "classes": [[0], [1, 2, 2, 1], [3]]})
+
+
+def test_duplicate_check_is_linear():
+    c = list(range(20000)) + [19999]
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match="element 19999 appears twice"):
+        SRing.from_json_dict({"n": 20000, "classes": [c]})
+    assert time.perf_counter() - start < 2.0
 
 
 def test_refines(units4, rank2_4):
