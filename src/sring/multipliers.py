@@ -164,26 +164,49 @@ def _constraints(a: SRing) -> tuple[
     tuple[tuple[int, ...], ...],
     tuple[int, ...],
 ]:
-    """The sections of ``frs0(a)`` in search order, with each one's constraint lists.
+    """The sections of ``frs0(a)`` in search order, with each one's constraint
+    lists: its covering supersections and the first projective peer.
 
     Sections are ordered by decreasing order m.  ``supers[i]`` lists the
-    indices j whose section contains section i as a subsection, and
-    ``peers[i]`` the indices j in the same projective class; both hold only
-    j < i, since a proper subsection has a smaller order and projectively
-    equivalent sections have equal orders.  No other pair of sections
-    constrains a family.  ``order`` lists the search indices in section
-    order, the order of a family's entries.
+    covering supersections of section i: the indices j whose section contains
+    section i as a subsection with no section of ``frs0(a)`` strictly between
+    them.  ``peers[i]`` holds the first projective peer: the smallest index
+    in the projective class of section i, unless that is i itself.  Both hold
+    only j < i, since a proper subsection has a smaller order and projectively
+    equivalent sections have equal orders.  ``order`` lists the search
+    indices in section order, the order of a family's entries.
+
+    These pairs generate every constraint on a family:
+
+    - Restriction is transitive.  If R_t(C_t') <= C_t and R_s(C_t) <= C_s,
+      then R_s(C_t') <= C_s, because m_s | m_t | m_t'.  The subsection
+      relation on ``frs0(a)`` is the transitive closure of the covering one,
+      and every section is checked, so every link of each chain is checked.
+      Equality of cosets across projective peers is an equivalence.  So the
+      validator gives the verdict of a check over every pair, on any
+      family, valid or not.
+    - The search compares only the chosen unit of each coset.  If rep_t' mod
+      m_t is e * rep_t with e in the stabilizer at t, then rep_t' mod m_s is
+      (e mod m_s) * rep_t, and e mod m_s lies in the stabilizer at s: on the
+      subquotient s of t, multiplication by e acts as e mod m_s, so a unit
+      fixing every class of the restriction to t fixes every class of the
+      restriction to s.  The chosen units therefore meet the constraints of
+      every pair, as the validator requires.
     """
     secs = tuple(sorted(frs0(a), key=lambda s: (-s.m, s.l, s.u)))
     order = tuple(sorted(range(len(secs)), key=secs.__getitem__))
-    keys = [_proj_key(s) for s in secs]
-    supers = tuple(
-        tuple(j for j, t in enumerate(secs[:i]) if _is_subsection(s, t))
+    above = [
+        {j for j, t in enumerate(secs[:i]) if _is_subsection(s, t)}
         for i, s in enumerate(secs)
+    ]
+    supers = tuple(
+        tuple(sorted(j for j in sup if not any(j in above[k] for k in sup)))
+        for sup in above
     )
+    first: dict[tuple[int, int], int] = {}
     peers = tuple(
-        tuple(j for j in range(i) if keys[j] == key)
-        for i, key in enumerate(keys)
+        () if (j := first.setdefault(_proj_key(s), i)) == i else (j,)
+        for i, s in enumerate(secs)
     )
     return secs, supers, peers, order
 
@@ -195,14 +218,19 @@ def _families(a: SRing, stab_of: Callable[[Section], tuple[int, ...]]) -> list[M
     unit of its coset, so coset membership is a comparison of integers and
     every chosen unit is already the smallest of its coset.  A section under
     an already chosen supersection, or projectively equivalent to an already
-    chosen section, has one possible coset; only the rest branch.
+    chosen section, has one possible coset; only the rest branch.  Peers with
+    different stabilizers admit no family at all.
     """
     if not is_quasidense(a):
         raise ValueError("multiplier enumeration requires a quasidense ring")
     secs, supers, peers, order = _constraints(a)
     stabs = [stab_of(s) for s in secs]
+    if any(stabs[j] != stabs[i] for i, peer in enumerate(peers) for j in peer):
+        return []
     canon = [
-        {k: min(unit_mod(k * e, s.m) for e in stab) for k in units(s.m).elements}
+        {k: k for k in units(s.m).elements}
+        if stab == _TRIVIAL
+        else {k: min(unit_mod(k * e, s.m) for e in stab) for k in units(s.m).elements}
         for s, stab in zip(secs, stabs)
     ]
     reps = [sorted(set(c.values())) for c in canon]
@@ -224,7 +252,7 @@ def _families(a: SRing, stab_of: Callable[[Section], tuple[int, ...]]) -> list[M
             cands = reps[i]
         for rep in cands:
             if all(canon[i][unit_mod(chosen[j], m)] == rep for j in sup) and all(
-                chosen[j] == rep and stabs[j] == stabs[i] for j in peer
+                chosen[j] == rep for j in peer
             ):
                 chosen[i] = rep
                 extend(i + 1)

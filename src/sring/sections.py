@@ -17,7 +17,6 @@ from typing import NamedTuple, Optional
 from .core import (
     SRing,
     _per_ring,
-    a_subgroups,
     closure,
     full_sring,
     generated,

@@ -9,6 +9,8 @@ per class and character; of ``sections.proj_classes`` and
 graph over all sections of Z_n and compose ``f_unit`` along a BFS path; of
 ``multipliers._families`` and
 ``multipliers._is_family``, which test every pair of sections of ``frs0``,
+of ``multipliers._constraints``, which listed for each section every
+section containing it and every earlier projective peer,
 and of ``multipliers.theta``, which re-sorted every projected family through
 the public ``Multiplier`` constructor and validated it on every call; and of
 ``similarities.similarities``, ``is_similarity``, ``from_unit`` and
@@ -262,6 +264,23 @@ def _families_all_pairs(a: SRing, stab_of) -> list[Multiplier]:
     return sorted(out, key=Multiplier.canonical_vector)
 
 
+def _constraints_all_pairs(a: SRing):
+    """Search order and constraint lists of ``frs0(a)``: every earlier section
+    containing section i, and every earlier section of its projective class."""
+    secs = tuple(sorted(frs0(a), key=lambda s: (-s.m, s.l, s.u)))
+    order = tuple(sorted(range(len(secs)), key=secs.__getitem__))
+    keys = [_proj_key(s) for s in secs]
+    supers = tuple(
+        tuple(j for j, t in enumerate(secs[:i]) if _is_subsection(s, t))
+        for i, s in enumerate(secs)
+    )
+    peers = tuple(
+        tuple(j for j in range(i) if keys[j] == key)
+        for i, key in enumerate(keys)
+    )
+    return secs, supers, peers, order
+
+
 def _is_family_all_pairs(a: SRing, fam: Multiplier, stab_of) -> bool:
     comp = _proj_component(a.n)
     if set(fam.sections) != set(frs0(a)):
@@ -463,6 +482,72 @@ def test_fs_of_families_are_canonical():
         for phi in similarities(a, a):
             om = fs_of(a, phi)
             assert om.entries == Multiplier(om.entries).entries, (a, phi)
+
+
+def _witnesses() -> list[SRing]:
+    return [
+        cyclotomic_sring(n, gens)
+        for n, gens in ((72, [11, 13]), (144, [11, 13]), (144, [5]), (144, [5, 7]), (144, [5, 19]))
+    ]
+
+
+def _covering_rings() -> list[SRing]:
+    """Every quasidense ring with n <= 24, and the five non-separable witnesses."""
+    rings = [a for n in range(1, 25) for a in enumerate_srings(n) if is_quasidense(a)]
+    return rings + _witnesses()
+
+
+def test_covering_lists_generate_all_pairs():
+    # the transitive closure of the covering supersections is the subsection
+    # relation on frs0, and the first peers name the projective classes
+    for a in _covering_rings() + [cyclotomic_sring(240, [-1])]:
+        secs, supers, peers, order = sring.multipliers._constraints(a)
+        ref = _constraints_all_pairs(a)
+        assert (secs, order) == (ref[0], ref[3]), a
+        closure_of: list[set[int]] = []
+        for i, sup in enumerate(supers):
+            assert all(j < i for j in sup), a
+            closure_of.append(set(sup).union(*(closure_of[j] for j in sup)))
+        assert [sorted(c) for c in closure_of] == [list(r) for r in ref[1]], a
+        assert all(not set(sup) & closure_of[j] for sup in supers for j in sup), a
+        assert peers == tuple(r[:1] for r in ref[2]), a
+
+
+def test_stabilizer_restricts_into_subsection_stabilizer():
+    # the fact the search relies on when it checks only covering pairs
+    for a in _covering_rings():
+        secs, supers, _, _ = _constraints_all_pairs(a)
+        for i, sup in enumerate(supers):
+            s = secs[i]
+            below = set(aut_stabilizer(a, s).elements)
+            for j in sup:
+                assert {unit_mod(e, s.m) for e in aut_stabilizer(a, secs[j]).elements} <= below, (
+                    a, s, secs[j],
+                )
+
+
+def test_multiplier_layer_matches_all_pairs_constraints(monkeypatch):
+    # the same groups, and the same verdicts of both validators on every
+    # family and, for n <= 16, on every one-section perturbation of one,
+    # whether the search and the validator read the covering lists or every pair
+    cases = []
+    for a in _covering_rings():
+        groups = (mult_group(a), fmult_group(a))
+        fams = list(dict.fromkeys(groups[0] + groups[1]))
+        if a.n <= 16:
+            fams += [p for fam in fams for p in _perturbations(fam)]
+        verdicts = [(is_valid_multiplier(a, f), is_valid_outer_multiplier(a, f)) for f in fams]
+        cases.append((a, groups, fams, verdicts))
+    monkeypatch.setattr(sring.multipliers, "_constraints", _constraints_all_pairs)
+    seen = set()
+    for a, groups, fams, verdicts in cases:
+        assert groups == (mult_group(a), fmult_group(a)), a
+        for fam, got in zip(fams, verdicts):
+            assert got == (is_valid_multiplier(a, fam), is_valid_outer_multiplier(a, fam)), (
+                a, fam,
+            )
+            seen.add(got)
+    assert len(seen) == 4
 
 
 def _is_similarity_by_vectors(a: SRing, b: SRing, class_map: tuple[int, ...]) -> bool:
