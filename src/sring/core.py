@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import wraps
+from itertools import compress
 from math import gcd
 from operator import add
 from typing import Callable, Collection, Iterable, Sequence, TypeVar, cast
@@ -155,7 +156,8 @@ class SRing:
             j = self.class_of[neg[0]]
             if list(self.classes[j]) != neg:
                 raise NotInverseClosed(f"-1 * {list(cls)} is not a class")
-        if _split(n, self.class_of)[1] == self.rank:
+        stab = _class_stabilizer(n, self.class_of)
+        if _split(n, self.class_of, stab)[1] == self.rank:
             return
         # Some product is not constant on a class: find the first witness.
         for i in range(self.rank):
@@ -230,7 +232,28 @@ def _convolve(n: int, xs: Iterable[int], ys: Collection[int]) -> list[int]:
     return c
 
 
-def _split(n: int, class_of: Sequence[int]) -> tuple[list[int], int]:
+def _class_stabilizer(n: int, class_of: Sequence[int]) -> tuple[int, ...]:
+    """The units k of Z_n with ``class_of[k * x] == class_of[x]`` for all x, ascending.
+
+    Only the units in the class of 1 are tried: k = k * 1 must share the
+    class of 1.  The result is a group, and refinement keeps it: a finer
+    partition has no larger stabilizer, and every class that ``_split``
+    makes is invariant under this group, so the stabilizer of each round's
+    output is this group again.
+    """
+    if n == 1:
+        return (1,)
+    cl = class_of
+    return (1,) + tuple(
+        k
+        for k in compress(range(2, n), map(cl[1].__eq__, cl[2:]))
+        if gcd(k, n) == 1 and all(cl[k * x % n] == c for x, c in enumerate(cl))
+    )
+
+
+def _split(
+    n: int, class_of: Sequence[int], stab: Sequence[int]
+) -> tuple[list[int], int]:
     """One refinement round: new class ids by first occurrence, and their number.
 
     The signature of z is its class, the class of -z and the sorted codes
@@ -238,16 +261,29 @@ def _split(n: int, class_of: Sequence[int]) -> tuple[list[int], int]:
     (i, j) is the coefficient of z in X_i * X_j, so two residues share a
     signature exactly when they share a class, the class of their negation
     and every coefficient of every class product.
+
+    ``stab`` is ``_class_stabilizer(n, class_of)``, and residues in one of
+    its orbits share a signature, so only the smallest element of each
+    orbit computes one and the rest of the orbit copies its id.  For k in
+    ``stab``, x -> kx permutes the x of the code list, and ``class_of`` is
+    equal on x and kx and on z - x and k(z - x), so the codes of kz are
+    those of z; k also fixes the class of z and of -z.  This holds for any
+    partition, S-ring or not.  The smallest element of an orbit is the
+    first one a loop over 0..n-1 reaches, so the ids, numbered by first
+    occurrence, are those that a signature for every residue would give.
     """
     cl = list(class_of)
     r = max(cl) + 1
     row = [c * r for c in cl]
     ids: dict[tuple, int] = {}
-    new_class_of = [0] * n
+    new_class_of = [-1] * n
     for z in range(n):
-        # cl[z::-1] + cl[:z:-1] lists class_of[z - x] for x = 0..n-1
-        key = (cl[z], cl[-z], *sorted(map(add, row, cl[z::-1] + cl[:z:-1])))
-        new_class_of[z] = ids.setdefault(key, len(ids))
+        if new_class_of[z] < 0:
+            # cl[z::-1] + cl[:z:-1] lists class_of[z - x] for x = 0..n-1
+            key = (cl[z], cl[-z], *sorted(map(add, row, cl[z::-1] + cl[:z:-1])))
+            i = ids.setdefault(key, len(ids))
+            for k in stab:
+                new_class_of[k * z % n] = i
     return new_class_of, len(ids)
 
 
@@ -256,10 +292,13 @@ def _wl_stabilize(n: int, class_of: list[int]) -> list[list[int]]:
 
     Each round splits classes by negation and by the coefficient profile of
     every pairwise class product; splits are monotone, so the loop reaches
-    the coarsest S-ring partition refining the start.
+    the coarsest S-ring partition refining the start.  Every round keeps
+    each class invariant under the class stabilizer of the start (see
+    ``_split``), so that group is computed once and serves every round.
     """
+    stab = _class_stabilizer(n, class_of)
     while True:
-        new_class_of, count = _split(n, class_of)
+        new_class_of, count = _split(n, class_of, stab)
         if count == max(class_of) + 1:
             classes: list[list[int]] = [[] for _ in range(count)]
             for z in range(n):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .core import SRing, _per_ring
+from .core import SRing, _class_stabilizer, _per_ring
 from .errors import DualNotAnSRing, ValidationError
 from .modarith import cyclotomic_poly
 from .sections import Section
@@ -88,6 +88,10 @@ def dual_sring(a: SRing) -> SRing:
     coefficient, shifted to be non-negative.  A class sum adds at most n
     rows, which w is wide enough to hold, so no lane carries into the next
     and two packed sums are equal exactly when their coefficients are.
+
+    A unit k that fixes every class of ``a`` maps each class onto itself by
+    x -> kx, so the rows of t and kt have the same sums: each orbit of the
+    class stabilizer computes one row, at its smallest element.
     """
     n = a.n
     table = _power_table(n)
@@ -96,10 +100,17 @@ def dual_sring(a: SRing) -> SRing:
     packed = [
         sum((c - low) << (w * i) for i, c in enumerate(row)) for row in table
     ]
+    stab = _class_stabilizer(n, a.class_of)
+    done = [False] * n
     rows: dict[tuple[int, ...], list[int]] = {}
     for t in range(n):
+        if done[t]:
+            continue
         key = tuple(sum(packed[t * x % n] for x in cls) for cls in a.classes)
-        rows.setdefault(key, []).append(t)
+        row = rows.setdefault(key, [])
+        for kt in {k * t % n for k in stab}:
+            done[kt] = True
+            row.append(kt)
     try:
         return SRing(n, rows.values(), check=True)
     except ValidationError as exc:  # pragma: no cover - guaranteed by theory

@@ -16,7 +16,7 @@ from functools import cached_property
 from math import gcd
 from typing import Callable, Iterable, Optional
 
-from .core import SRing, _per_ring
+from .core import SRing, _class_stabilizer, _per_ring
 from .errors import TheoryViolation
 from .modarith import unit_mod, units
 from .sections import (
@@ -53,16 +53,7 @@ class AutStabilizer:
 
 @_per_ring
 def aut_stabilizer(a: SRing, s: Section) -> AutStabilizer:
-    rs = restrict_to(a, s)
-    m = s.m
-    keep = []
-    for k in units(m).elements:
-        if all(
-            frozenset((k * x) % m for x in cls) == frozenset(cls)
-            for cls in rs.classes
-        ):
-            keep.append(k)
-    return AutStabilizer(s, tuple(keep))
+    return AutStabilizer(s, _class_stabilizer(s.m, restrict_to(a, s).class_of))
 
 
 def _is_subsection(child: Section, parent: Section) -> bool:

@@ -232,14 +232,12 @@ WITNESS_COUNTS = {
 }
 
 
-@pytest.mark.parametrize("n, gens", [(n, list(gens)) for n, gens in WITNESS_COUNTS])
-def test_nonseparable_witness(n, gens):
-    # the smallest known non-separable rings: the oracle finds only some of
-    # the similarities realized, and the criterion must say the same
-    a = cyclotomic_sring(n, gens)
+def _assert_nonseparable_witness(a: SRing, counts: tuple[int, int]):
+    """The oracle finds only some of the similarities of ``a`` realized, and
+    the criterion must say the same; returns the separability report."""
     realized = phi_infty(a, max_n=a.n)
     sims = similarities(a, a)
-    assert (len(realized), len(sims)) == WITNESS_COUNTS[n, tuple(gens)]
+    assert (len(realized), len(sims)) == counts
     separable, report = is_separable(a)
     assert separable is False
     assert report.fmult_order == len(sims)
@@ -251,6 +249,46 @@ def test_nonseparable_witness(n, gens):
     unrealized = [fs_of(a, phi) for phi in sims if phi.class_map not in maps]
     assert report.missing == min(unrealized, key=Multiplier.canonical_vector)
     assert is_separable(dual_sring(a))[0] is False
+    return report
+
+
+@pytest.mark.parametrize("n, gens", [(n, list(gens)) for n, gens in WITNESS_COUNTS])
+def test_nonseparable_witness(n, gens):
+    # the smallest known non-separable rings
+    _assert_nonseparable_witness(cyclotomic_sring(n, gens), WITNESS_COUNTS[n, tuple(gens)])
+
+
+# Non-cyclotomic non-separable rings over Z_72, both generalized wreath
+# products: classes, (realized, all) similarities, mult_order, and whether
+# the dual is the ring itself.
+NONCYCLOTOMIC_WITNESSES = {
+    "rank15": (
+        [[0], [1, 5, 7, 11, 25, 29, 31, 35, 49, 53, 55, 59],
+         [2, 10, 14, 22, 26, 34, 38, 46, 50, 58, 62, 70], [3, 33, 39, 69],
+         [4, 20, 28, 44, 52, 68], [6, 66], [8, 16, 32, 40, 56, 64], [9, 27, 45, 63],
+         [12, 60], [13, 17, 19, 23, 37, 41, 43, 47, 61, 65, 67, 71], [15, 21, 51, 57],
+         [18, 54], [24, 48], [30, 42], [36]],
+        (4, 8), 16, False,
+    ),
+    "rank17": (
+        [[0], [1, 11, 13, 23, 25, 35, 37, 47, 49, 59, 61, 71], [2, 34, 38, 70],
+         [3, 9, 27, 33, 51, 57], [4, 32, 40, 68],
+         [5, 7, 17, 19, 29, 31, 41, 43, 53, 55, 65, 67], [6, 66], [8, 28, 44, 64],
+         [10, 26, 46, 62], [12, 60], [14, 22, 50, 58], [15, 21, 39, 45, 63, 69],
+         [16, 20, 52, 56], [18, 54], [24, 48], [30, 42], [36]],
+        (12, 24), 24, True,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NONCYCLOTOMIC_WITNESSES))
+def test_noncyclotomic_witness(name):
+    classes, counts, mult_order, self_dual = NONCYCLOTOMIC_WITNESSES[name]
+    a = validate(72, classes)
+    assert all(a != cyclotomic_sring(72, list(h)) for h in unit_subgroups(72))
+    report = _assert_nonseparable_witness(a, counts)
+    assert report.mult_order == mult_order
+    assert (dual_sring(a) == a) is self_dual
 
 
 def test_tensor_witness_at_360():

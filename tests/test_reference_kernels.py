@@ -15,7 +15,10 @@ and of ``multipliers.theta``, which re-sorted every projected family through
 the public ``Multiplier`` constructor and validated it on every call; and of
 ``similarities.similarities``, ``is_similarity``, ``from_unit`` and
 ``inducing_unit``, which read structure constants from ``product_counts``
-vectors and compare images as frozensets.  They are kept here as test
+vectors and compare images as frozensets; and of ``core._split`` and the
+row loop of ``duality.dual_sring``, which computed a signature or a row for
+every residue, and of ``multipliers.aut_stabilizer``, which tested every
+unit of Z_m against the classes as frozensets.  They are kept here as test
 oracles only.
 """
 
@@ -25,6 +28,7 @@ import random
 from functools import lru_cache
 from itertools import permutations
 from math import gcd
+from operator import add
 from typing import Optional
 
 import sring.multipliers
@@ -58,7 +62,8 @@ from sring import (
     theta,
     validate,
 )
-from sring.core import _wl_stabilize
+from sring.core import _class_stabilizer, _split, _wl_stabilize, sections_lattice
+from sring.duality import _power_table
 from sring.errors import NotInverseClosed, NotMultiplicativelyClosed
 from sring.modarith import divisors, unit_mod, unit_subgroups, units
 from sring.multipliers import Multiplier, _is_subsection
@@ -120,6 +125,46 @@ def _dual_pairwise(a: SRing) -> SRing:
         key = tuple(character_sum(a.n, cls, t).coeffs for cls in a.classes)
         rows.setdefault(key, []).append(t)
     return SRing(a.n, rows.values(), check=False)
+
+
+def _split_every_residue(n: int, class_of) -> tuple[list[int], int]:
+    cl = list(class_of)
+    r = max(cl) + 1
+    row = [c * r for c in cl]
+    ids: dict[tuple, int] = {}
+    new_class_of = [0] * n
+    for z in range(n):
+        key = (cl[z], cl[-z], *sorted(map(add, row, cl[z::-1] + cl[:z:-1])))
+        new_class_of[z] = ids.setdefault(key, len(ids))
+    return new_class_of, len(ids)
+
+
+def _dual_every_character(a: SRing) -> SRing:
+    n = a.n
+    table = _power_table(n)
+    low = min(min(row) for row in table)
+    w = (n * (max(max(row) for row in table) - low)).bit_length()
+    packed = [
+        sum((c - low) << (w * i) for i, c in enumerate(row)) for row in table
+    ]
+    rows: dict[tuple[int, ...], list[int]] = {}
+    for t in range(n):
+        key = tuple(sum(packed[t * x % n] for x in cls) for cls in a.classes)
+        rows.setdefault(key, []).append(t)
+    return SRing(n, rows.values(), check=True)
+
+
+def _aut_stabilizer_over_all_units(a: SRing, s: Section) -> tuple[int, ...]:
+    rs = restrict_to(a, s)
+    m = s.m
+    keep = []
+    for k in units(m).elements:
+        if all(
+            frozenset((k * x) % m for x in cls) == frozenset(cls)
+            for cls in rs.classes
+        ):
+            keep.append(k)
+    return tuple(keep)
 
 
 @lru_cache(maxsize=None)
@@ -397,6 +442,97 @@ def test_dual_matches_character_sum_rows():
     ]
     for a in rings:
         assert dual_sring(a) == _dual_pairwise(a), a
+
+
+def _relabel(labels) -> list[int]:
+    """The partition of ``labels`` with class ids by first occurrence."""
+    ids: dict[int, int] = {}
+    return [ids.setdefault(c, len(ids)) for c in labels]
+
+
+def _fixing_units(n: int, class_of) -> tuple[int, ...]:
+    return tuple(
+        k
+        for k in units(n).elements
+        if all(class_of[k * x % n] == c for x, c in enumerate(class_of))
+    )
+
+
+def _assert_split_matches(n: int, class_of) -> tuple[int, ...]:
+    stab = _class_stabilizer(n, class_of)
+    assert stab == _fixing_units(n, class_of), (n, class_of)
+    assert _split(n, class_of, stab) == _split_every_residue(n, class_of), (n, class_of)
+    return stab
+
+
+def _ring_partitions():
+    """Every ring with n <= 36, and coarsenings of each: the class of 1
+    merged with each other class, and each nonzero class merged with the next."""
+    for n in range(1, 37):
+        for a in enumerate_srings(n):
+            cl = a.class_of
+            yield n, list(cl)
+            c1 = cl[1 % n]
+            for j in range(a.rank):
+                if j != c1:
+                    yield n, _relabel(c1 if c == j else c for c in cl)
+                if 0 < j < a.rank - 1:
+                    yield n, _relabel(j if c == j + 1 else c for c in cl)
+
+
+def _partly_fixed_partitions():
+    """Orbits of a unit subgroup H of Z_n, the orbit of 1 widened to that of a
+    larger subgroup K.  Every unit of K fixes {0} and the class of 1; only the
+    partitions where one of them moves some other class are kept."""
+    for n in range(5, 41):
+        subs = unit_subgroups(n)
+        for h in subs:
+            for k in subs:
+                if len(k) <= len(h) or not set(h) <= set(k):
+                    continue
+                cl = [min(g * z % n for g in h) for z in range(n)]
+                cl = _relabel(1 if z in k else c for z, c in enumerate(cl))
+                if set(k) - set(_fixing_units(n, cl)):
+                    yield n, cl
+
+
+def test_split_matches_every_residue_on_ring_partitions():
+    grown = 0
+    for n, cl in _ring_partitions():
+        grown += len(_assert_split_matches(n, cl)) > 1
+    assert grown > 1000
+
+
+def test_split_matches_every_residue_when_class_of_1_moves_classes():
+    count = 0
+    for n, cl in _partly_fixed_partitions():
+        stab = _assert_split_matches(n, cl)
+        assert len(stab) < sum(gcd(k, n) == 1 and cl[k] == cl[1] for k in range(n))
+        count += 1
+    assert count > 100
+
+
+def test_split_matches_every_residue_at_n_1_and_2():
+    for n, cl in ((1, [0]), (2, [0, 0]), (2, [0, 1]), (2, [1, 0])):
+        _assert_split_matches(n, cl)
+
+
+def test_dual_matches_every_character_row():
+    rings = [a for n in range(1, 31) for a in enumerate_srings(n)]
+    rings += [
+        cyclotomic_sring(256, [27]),
+        cyclotomic_sring(256, [-1]),
+        cyclotomic_sring(720, [7, 11]),
+    ]
+    for a in rings:
+        assert dual_sring(a) == _dual_every_character(a), a
+
+
+def test_aut_stabilizer_matches_search_over_all_units():
+    for n in range(1, 37):
+        for a in enumerate_srings(n):
+            for s in sorted({Section(n, l, u) for l, u in sections_lattice(a)}):
+                assert aut_stabilizer(a, s).elements == _aut_stabilizer_over_all_units(a, s)
 
 
 def _trivial(s) -> tuple[int, ...]:
