@@ -101,18 +101,19 @@ def dual_sring(a: SRing) -> SRing:
         sum((c - low) << (w * i) for i, c in enumerate(row)) for row in table
     ]
     stab = _class_stabilizer(n, a.class_of)
-    done = [False] * n
-    rows: dict[tuple[int, ...], list[int]] = {}
+    ids: dict[tuple[int, ...], int] = {}
+    row_of = [-1] * n
     for t in range(n):
-        if done[t]:
-            continue
-        key = tuple(sum(packed[t * x % n] for x in cls) for cls in a.classes)
-        row = rows.setdefault(key, [])
-        for kt in {k * t % n for k in stab}:
-            done[kt] = True
-            row.append(kt)
+        if row_of[t] < 0:
+            key = tuple(sum(packed[t * x % n] for x in cls) for cls in a.classes)
+            i = ids.setdefault(key, len(ids))
+            for k in stab:
+                row_of[k * t % n] = i
+    rows: list[list[int]] = [[] for _ in ids]
+    for t, i in enumerate(row_of):
+        rows[i].append(t)
     try:
-        return SRing(n, rows.values(), check=True)
+        return SRing(n, rows, check=True)
     except ValidationError as exc:  # pragma: no cover - guaranteed by theory
         raise DualNotAnSRing(f"character partition of {a!r}: {exc}") from exc
 
