@@ -9,7 +9,7 @@ constant-coefficient combination of class sums.
 from __future__ import annotations
 
 from collections import Counter
-from functools import wraps
+from functools import lru_cache, wraps
 from itertools import compress
 from math import gcd
 from operator import add
@@ -156,8 +156,7 @@ class SRing:
             j = self.class_of[neg[0]]
             if list(self.classes[j]) != neg:
                 raise NotInverseClosed(f"-1 * {list(cls)} is not a class")
-        stab = _class_stabilizer(n, self.class_of)
-        if _split(n, self.class_of, stab)[1] == self.rank:
+        if _split(n, self.class_of, class_stabilizer(self))[1] == self.rank:
             return
         # Some product is not constant on a class: find the first witness.
         for i in range(self.rank):
@@ -249,6 +248,16 @@ def _class_stabilizer(n: int, class_of: Sequence[int]) -> tuple[int, ...]:
         for k in compress(range(2, n), map(cl[1].__eq__, cl[2:]))
         if gcd(k, n) == 1 and all(cl[k * x % n] == c for x, c in enumerate(cl))
     )
+
+
+@_per_ring
+def class_stabilizer(a: SRing) -> tuple[int, ...]:
+    """The units of Z_n that fix every class of ``a``, ascending.
+
+    ``SRing._check_ring`` computes it, so a checked ring carries it from
+    the start.
+    """
+    return _class_stabilizer(a.n, a.class_of)
 
 
 def _split(
@@ -365,21 +374,34 @@ def sections_lattice(a: SRing) -> tuple[tuple[int, int], ...]:
 def restriction(a: SRing, l: int, u: int) -> SRing:
     """The induced S-ring on the section H_u / H_l, over Z_{u/l}.
 
-    The element j*(n/u) + H_l maps to j mod (u/l).
+    The element j*(n/u) + H_l maps to j mod (u/l).  Rings with equal
+    restrictions share one ring object, built and checked once (see
+    ``_restricted_ring``).
     """
     if (l, u) not in sections_lattice(a):
         raise NotASection(f"({l}, {u}) is not a section of {a!r}")
     step = a.n // u
     m = u // l
-    images: dict[frozenset[int], None] = {}
-    for cls in a.classes:
-        if cls[0] % step:
-            continue
-        images[frozenset((x // step) % m for x in cls)] = None
+    images = {
+        tuple(sorted({(x // step) % m for x in cls})) for cls in a.classes if cls[0] % step == 0
+    }
     try:
-        return SRing(m, images.keys(), check=True)
+        return _restricted_ring(m, tuple(sorted(images)))
     except ValidationError as exc:  # pragma: no cover - guaranteed by theory
         raise TheoryViolation(f"restriction to ({l}, {u}) is not an S-ring: {exc}") from exc
+
+
+@lru_cache(maxsize=4096)
+def _restricted_ring(m: int, classes: tuple[tuple[int, ...], ...]) -> SRing:
+    """The checked ring over Z_m with these classes, one object per partition.
+
+    ``classes`` is sorted, each class sorted, so equal partitions give equal
+    keys; tuples keep the cached keys about a third the size of frozensets.
+    Many rings share a restriction, so sharing the ring also shares what
+    ``_per_ring`` keeps on it.  The bound keeps the cache from holding every
+    ring of a long session alive; a build that raises is not kept.
+    """
+    return SRing(m, classes, check=True)
 
 
 def radical(n: int, xs: Iterable[int]) -> int:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .core import SRing, _class_stabilizer, _per_ring
+from .core import SRing, _per_ring, class_stabilizer
 from .errors import DualNotAnSRing, ValidationError
 from .modarith import cyclotomic_poly
 from .sections import Section
@@ -100,7 +100,7 @@ def dual_sring(a: SRing) -> SRing:
     packed = [
         sum((c - low) << (w * i) for i, c in enumerate(row)) for row in table
     ]
-    stab = _class_stabilizer(n, a.class_of)
+    stab = class_stabilizer(a)
     ids: dict[tuple[int, ...], int] = {}
     row_of = [-1] * n
     for t in range(n):

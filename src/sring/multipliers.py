@@ -16,7 +16,7 @@ from functools import cached_property
 from math import gcd
 from typing import Callable, Iterable, Optional
 
-from .core import SRing, _class_stabilizer, _per_ring
+from .core import SRing, _per_ring, class_stabilizer
 from .errors import TheoryViolation
 from .modarith import unit_mod, units
 from .sections import (
@@ -53,7 +53,7 @@ class AutStabilizer:
 
 @_per_ring
 def aut_stabilizer(a: SRing, s: Section) -> AutStabilizer:
-    return AutStabilizer(s, _class_stabilizer(s.m, restrict_to(a, s).class_of))
+    return AutStabilizer(s, class_stabilizer(restrict_to(a, s)))
 
 
 def _is_subsection(child: Section, parent: Section) -> bool:

@@ -4,8 +4,11 @@ Everything here is exhaustive and bound-guarded; it exists to cross-check
 the structural machinery, so it shares as little as possible with it.  The
 enumerator walks classes of the smallest unassigned element, pruned by the
 partial closure; candidate classes decompose over divisor classes into
-cosets of a unit subgroup, and unit multiples of a chosen class are pinned
-at once since they are classes of the same ring.
+cosets of a unit subgroup.  The unit multiples of a class are classes of
+the same ring (Schur's theorem on multipliers), so a candidate that
+overlaps one of its multiples without equalling it is skipped before any
+refinement, and every multiple of a candidate splits the partition before
+it is refined and is pinned at once.
 """
 
 from __future__ import annotations
@@ -130,6 +133,25 @@ def _candidate_classes(
 
 @lru_cache(maxsize=None)
 def _enumerate_cached(n: int) -> tuple[SRing, ...]:
+    """Every S-ring over Z_n, by backtracking over the class of the smallest
+    element not yet in a pinned class.
+
+    Every unit multiple kX of a class X of a ring is a class of it too
+    (Schur's theorem on multipliers; Wielandt, *Finite Permutation Groups*,
+    1964, Thm 23.9), so two multiples of X are equal or disjoint.  A
+    candidate X whose multiples overlap otherwise is skipped unrefined.
+    Any other candidate splits each class by membership in each multiple of
+    X (the orbit split P_O), not only in X (the split P_X), before the
+    refinement WL to the coarsest S-ring.  Both searches accept the same
+    candidates and go on from the same partition.  P_O refines P_X, so
+    WL(P_O) refines WL(P_X).
+
+    - If X is a class of WL(P_X), so is every kX; then WL(P_X) refines P_O
+      and hence WL(P_O), and the two are equal.
+    - If X is a class of WL(P_O), it is a single class of that finer ring
+      and a union of classes of WL(P_X), which refines P_X; so X is a class
+      of WL(P_X), and the first case applies.
+    """
     if n == 1:
         return (SRing(1, [[0]], check=False),)
     unit_elems = units(n).elements
@@ -147,16 +169,22 @@ def _enumerate_cached(n: int) -> tuple[SRing, ...]:
         anchor = unassigned[0]
         region = next(cls for cls in classes if anchor in cls)
         for cand in _candidate_classes(n, anchor, region, subgroups, dclass):
+            orbit = {frozenset((k * x) % n for x in cand) for k in unit_elems}
+            if sum(map(len, orbit)) != len(frozenset().union(*orbit)):
+                continue
+            multiple_of = [-1] * n
+            for j, mult in enumerate(orbit):
+                for x in mult:
+                    multiple_of[x] = j
             refined_of = [0] * n
-            ids: dict[tuple[int, bool], int] = {}
+            ids: dict[tuple[int, int], int] = {}
             for i, cls in enumerate(classes):
                 for x in cls:
-                    refined_of[x] = ids.setdefault((i, x in cand), len(ids))
+                    refined_of[x] = ids.setdefault((i, multiple_of[x]), len(ids))
             stable = tuple(frozenset(c) for c in _wl_stabilize(n, refined_of))
             stable_set = set(stable)
             if cand not in stable_set or not pinned <= stable_set:
                 continue
-            orbit = {frozenset((k * x) % n for x in cand) for k in unit_elems}
             assert orbit <= stable_set, "unit multiple of a class must be a class"
             singletons = {cls for cls in stable if len(cls) == 1}
             rec(stable, pinned | orbit | singletons)

@@ -206,6 +206,17 @@ def similarities(a: SRing, b: SRing) -> list[Similarity]:
     return out
 
 
+@_per_ring
+def _section_class_of(a: SRing, s: Section) -> tuple[int, ...]:
+    """For each class of ``a``, its class in the restriction to ``s``, or -1
+    when the class lies outside H_u."""
+    ra = restrict_to(a, s)
+    step = a.n // s.u
+    return tuple(
+        -1 if cls[0] % step else ra.class_of[(cls[0] // step) % s.m] for cls in a.classes
+    )
+
+
 def restrict_similarity(phi: Similarity, s: Section) -> Similarity:
     """The induced similarity between the restrictions to a common section."""
     a, b = phi.source, phi.target
@@ -213,17 +224,14 @@ def restrict_similarity(phi: Similarity, s: Section) -> Similarity:
         raise NotASection(f"{s} does not live over Z_{a.n}")
     ra = restrict_to(a, s)
     rb = restrict_to(b, s)
-    step = a.n // s.u
-    m = s.m
+    dst_of = _section_class_of(b, s)
     cmap: dict[int, int] = {}
-    for i, cls in enumerate(a.classes):
-        if cls[0] % step:
+    for src, j in zip(_section_class_of(a, s), phi.class_map):
+        if src < 0:
             continue
-        img = b.classes[phi.class_map[i]]
-        if img[0] % step:  # pragma: no cover - theory
+        dst = dst_of[j]
+        if dst < 0:  # pragma: no cover - theory
             raise TheoryViolation(f"similarity moved a class out of the subgroup H_{s.u}")
-        src = ra.class_of[(cls[0] // step) % m]
-        dst = rb.class_of[(img[0] // step) % m]
         if cmap.setdefault(src, dst) != dst:  # pragma: no cover - theory
             raise TheoryViolation(f"restriction to {s} is not well defined")
     return Similarity(ra, rb, tuple(cmap[i] for i in range(ra.rank)))
@@ -246,20 +254,19 @@ def from_unit(a_s: SRing, k: int) -> Optional[Similarity]:
 
 
 def inducing_unit(a_s: SRing, psi: Similarity) -> Optional[int]:
-    """The smallest unit k with X -> k*X equal to ``psi``, if one exists.
+    """The smallest unit k with X -> k*X equal to ``psi``, if one exists."""
+    return _unit_maps(a_s).get(psi.class_map)
 
-    Such a k equals k*1, so only the units in the image of the class of 1
-    are tried.
-    """
-    m = a_s.n
-    cl = a_s.class_of
-    target = psi.class_map[cl[1 % m]]
-    for k in units(m).elements:
-        if cl[k % m] == target:
-            cand = from_unit(a_s, k)
-            if cand is not None and cand.class_map == psi.class_map:
-                return k
-    return None
+
+@_per_ring
+def _unit_maps(a_s: SRing) -> dict[tuple[int, ...], int]:
+    """Each class map X -> k*X that a unit k induces, with its smallest k."""
+    maps: dict[tuple[int, ...], int] = {}
+    for k in units(a_s.n).elements:
+        phi = from_unit(a_s, k)
+        if phi is not None:
+            maps.setdefault(phi.class_map, k)
+    return maps
 
 
 def fs_of(a: SRing, phi: Similarity) -> Multiplier:

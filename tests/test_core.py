@@ -17,6 +17,7 @@ from sring import (
     NotInverseClosed,
     NotMultiplicativelyClosed,
     SRing,
+    TheoryViolation,
     a_subgroups,
     closure,
     cyclotomic_sring,
@@ -33,7 +34,7 @@ from sring import (
     tensor,
     validate,
 )
-from sring import sections
+from sring import core, sections
 from sring.errors import ValidationError
 from sring.multipliers import aut_stabilizer
 from sring.oracle import enumerate_srings
@@ -184,6 +185,51 @@ def test_failed_restriction_is_not_kept():
     for _ in range(2):
         with pytest.raises(NotASection):
             restriction(a, 3, 5)
+
+
+def test_rings_with_equal_restrictions_share_one():
+    a = cyclotomic_sring(12, [-1])
+    b = cyclotomic_sring(24, [-1])
+    shared = restriction(a, 1, 12)
+    assert shared == a and shared is not a
+    assert restriction(b, 1, 12) is shared
+
+
+def test_failed_restriction_build_names_the_section_and_is_not_kept(monkeypatch):
+    a = SRing(8, [[0], [4], [2, 6], [1, 3, 5, 7]], check=False)
+    core._restricted_ring.cache_clear()
+
+    def broken(self):
+        raise NotMultiplicativelyClosed("injected")
+
+    monkeypatch.setattr(SRing, "_check_ring", broken)
+    for _ in range(2):
+        with pytest.raises(TheoryViolation, match=r"restriction to \(2, 8\) .*injected"):
+            restriction(a, 2, 8)
+        assert core._restricted_ring.cache_info().currsize == 0
+    monkeypatch.undo()
+    assert restriction(a, 2, 8) == SRing(4, [[0], [2], [1, 3]])
+    assert core._restricted_ring.cache_info().currsize == 1
+
+
+def test_checked_ring_carries_its_class_stabilizer(monkeypatch):
+    a = cyclotomic_sring(24, [5])
+    s = Section(24, 2, 24)
+    stab = core._class_stabilizer(24, a.class_of)
+    sub = core._class_stabilizer(12, restriction(a, 2, 24).class_of)
+    calls = []
+    compute = core._class_stabilizer
+
+    def counted(n, class_of):
+        calls.append(n)
+        return compute(n, class_of)
+
+    monkeypatch.setattr(core, "_class_stabilizer", counted)
+    assert core.class_stabilizer(a) == stab
+    assert aut_stabilizer(a, s).elements == sub
+    assert calls == []
+    dual_sring(a)  # computes only the group of the dual, when it checks it
+    assert calls == [24]
 
 
 def test_false_result_is_kept(monkeypatch):

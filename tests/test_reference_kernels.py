@@ -18,8 +18,12 @@ the public ``Multiplier`` constructor and validated it on every call; and of
 vectors and compare images as frozensets; and of ``core._split`` and the
 row loop of ``duality.dual_sring``, which computed a signature or a row for
 every residue, and of ``multipliers.aut_stabilizer``, which tested every
-unit of Z_m against the classes as frozensets.  They are kept here as test
-oracles only.
+unit of Z_m against the classes as frozensets; of
+``similarities.restrict_similarity`` and ``inducing_unit``, which rescanned
+every class of the ring and tried the units in the image of the class of 1
+on each call; and of the loop of ``oracle._enumerate_cached``, which refined
+every candidate class split by the candidate alone.  They are kept here as
+test oracles only.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import sring.multipliers
 from sring import (
     SRing,
     TheoryViolation,
+    NotASection,
     NotEquivalent,
     Section,
     ValidationError,
@@ -57,6 +62,7 @@ from sring import (
     is_valid_outer_multiplier,
     mult_group,
     proj_classes,
+    restrict_similarity,
     restrict_to,
     similarities,
     theta,
@@ -67,7 +73,7 @@ from sring.duality import _power_table
 from sring.errors import NotInverseClosed, NotMultiplicativelyClosed
 from sring.modarith import divisors, unit_mod, unit_subgroups, units
 from sring.multipliers import Multiplier, _is_subsection
-from sring.oracle import enumerate_srings
+from sring.oracle import _candidate_classes, _stabilize_partition, enumerate_srings
 from sring.sections import _proj_key
 from sring.similarities import Similarity, _constants
 
@@ -813,6 +819,40 @@ def _inducing_unit_over_all_units(a_s: SRing, psi: Similarity) -> Optional[int]:
     return None
 
 
+def _restrict_similarity_by_scan(phi: Similarity, s: Section) -> Similarity:
+    a, b = phi.source, phi.target
+    if s.n != a.n:
+        raise NotASection(f"{s} does not live over Z_{a.n}")
+    ra = restrict_to(a, s)
+    rb = restrict_to(b, s)
+    step = a.n // s.u
+    m = s.m
+    cmap: dict[int, int] = {}
+    for i, cls in enumerate(a.classes):
+        if cls[0] % step:
+            continue
+        img = b.classes[phi.class_map[i]]
+        if img[0] % step:
+            raise TheoryViolation(f"similarity moved a class out of the subgroup H_{s.u}")
+        src = ra.class_of[(cls[0] // step) % m]
+        dst = rb.class_of[(img[0] // step) % m]
+        if cmap.setdefault(src, dst) != dst:
+            raise TheoryViolation(f"restriction to {s} is not well defined")
+    return Similarity(ra, rb, tuple(cmap[i] for i in range(ra.rank)))
+
+
+def _inducing_unit_in_class_of_1(a_s: SRing, psi: Similarity) -> Optional[int]:
+    m = a_s.n
+    cl = a_s.class_of
+    target = psi.class_map[cl[1 % m]]
+    for k in units(m).elements:
+        if cl[k % m] == target:
+            cand = from_unit(a_s, k)
+            if cand is not None and cand.class_map == psi.class_map:
+                return k
+    return None
+
+
 def test_structure_constant_table_matches_product_counts():
     for n in range(1, 17):
         for a in enumerate_srings(n):
@@ -869,12 +909,65 @@ def test_inducing_unit_matches_search_over_all_units():
         for a in enumerate_srings(n):
             if not is_quasidense(a):
                 continue
+            sims = similarities(a, a)
             for s in frs0(a):
                 a_s = restrict_to(a, s)
                 for k in units(a_s.n).elements:
                     assert from_unit(a_s, k) == _from_unit_by_sets(a_s, k), (a_s, k)
+                for phi in sims:
+                    got = restrict_similarity(phi, s)
+                    assert got == _restrict_similarity_by_scan(phi, s), (phi, s)
                 for psi in similarities(a_s, a_s):
                     got = inducing_unit(a_s, psi)
+                    assert got == _inducing_unit_in_class_of_1(a_s, psi), (a_s, psi)
                     assert got == _inducing_unit_over_all_units(a_s, psi), (a_s, psi)
                     outcomes.add(got == 1)
     assert outcomes == {True, False}
+
+
+def _enumerate_refining_by_candidate(n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Class tuples of every S-ring over Z_n, canonically sorted."""
+    if n == 1:
+        return [((0,),)]
+    unit_elems = units(n).elements
+    subgroups = unit_subgroups(n)
+    dclass = tuple(gcd(x, n) for x in range(n))
+    found: set[tuple[tuple[int, ...], ...]] = set()
+
+    def rec(classes, pinned) -> None:
+        unassigned = sorted(x for cls in classes if cls not in pinned for x in cls)
+        if not unassigned:
+            found.add(tuple(sorted(tuple(sorted(c)) for c in classes)))
+            return
+        anchor = unassigned[0]
+        region = next(cls for cls in classes if anchor in cls)
+        for cand in _candidate_classes(n, anchor, region, subgroups, dclass):
+            refined_of = [0] * n
+            ids: dict[tuple[int, bool], int] = {}
+            for i, cls in enumerate(classes):
+                for x in cls:
+                    refined_of[x] = ids.setdefault((i, x in cand), len(ids))
+            stable = tuple(frozenset(c) for c in _wl_stabilize(n, refined_of))
+            stable_set = set(stable)
+            if cand not in stable_set or not pinned <= stable_set:
+                continue
+            orbit = {frozenset((k * x) % n for x in cand) for k in unit_elems}
+            assert orbit <= stable_set, "unit multiple of a class must be a class"
+            singletons = {cls for cls in stable if len(cls) == 1}
+            rec(stable, pinned | orbit | singletons)
+
+    start = _stabilize_partition(n, [frozenset({0}), frozenset(range(1, n))])
+    rec(start, frozenset({frozenset({0})}))
+    return sorted(found)
+
+
+def test_enumeration_matches_refinement_by_candidate_alone():
+    # the same rings in the same order, for every n <= 30
+    for n in range(1, 31):
+        got = [a.classes for a in enumerate_srings(n)]
+        assert got == _enumerate_refining_by_candidate(n), n
+
+
+def test_enumeration_totals():
+    assert sum(len(enumerate_srings(n)) for n in range(1, 37)) == 1275
+    assert len(enumerate_srings(36)) == 284

@@ -1,4 +1,5 @@
-"""The benchmark's traced run wraps functions of sring by name; they must exist."""
+"""The benchmark's traced run wraps functions of sring by name, and each run
+clears the module-level caches of sring it finds: both must be there."""
 
 from __future__ import annotations
 
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACER = BENCH / "tracer.py"
 
 
 def _boundaries():
@@ -29,3 +31,13 @@ def test_trace_boundary_exists(layer, fname):
     # function of that name, not the module
     module = importlib.import_module(f"sring.{layer}")
     assert callable(getattr(module, fname, None))
+
+
+def test_benchmark_clears_the_shared_restrictions():
+    import sring.core
+
+    spec = importlib.util.spec_from_file_location("sring_bench_workload", BENCH / "workload.py")
+    workload = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workload)
+    caches = workload.sring_caches()
+    assert caches["sring.core._restricted_ring"] is sring.core._restricted_ring
