@@ -260,6 +260,29 @@ def class_stabilizer(a: SRing) -> tuple[int, ...]:
     return _class_stabilizer(a.n, a.class_of)
 
 
+@_per_ring
+def coset_mins(a: SRing) -> tuple[int, ...]:
+    """Entry k, for each unit k of Z_n, is the smallest unit of the coset
+    k * ``class_stabilizer(a)``; every other entry is 0.
+
+    Two units share a coset exactly when their entries are equal.  Over Z_1
+    the one unit is written 1 (see ``modarith.unit_mod``) and its residue is
+    0, so the table is (1, 1).  Rings with equal restrictions share one ring
+    object, so the table of a restriction is built once for all of them.
+    """
+    n = a.n
+    if n == 1:
+        return (1, 1)
+    stab = class_stabilizer(a)
+    out = [0] * n
+    # the first unit of a coset that the loop reaches is its smallest
+    for k in range(1, n):
+        if not out[k] and gcd(k, n) == 1:
+            for e in stab:
+                out[k * e % n] = k
+    return tuple(out)
+
+
 def _split(
     n: int, class_of: Sequence[int], stab: Sequence[int]
 ) -> tuple[list[int], int]:

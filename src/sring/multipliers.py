@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
-from .core import SRing, _per_ring, class_stabilizer
+from .core import SRing, _per_ring, class_stabilizer, coset_mins
 from .errors import TheoryViolation
 from .modarith import unit_mod, units
 from .sections import (
@@ -202,8 +202,39 @@ def _constraints(a: SRing) -> tuple[
     return secs, supers, peers, order
 
 
-def _families(a: SRing, stab_of: Callable[[Section], tuple[int, ...]]) -> list[Multiplier]:
-    """All consistent coset families with stabilizer ``stab_of(s)`` at each section.
+@_per_ring
+def _coset_tables(a: SRing) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """For each section of ``frs0(a)``, in the search order of ``_constraints``:
+    the class stabilizer of the restriction to it, and that stabilizer's
+    ``coset_mins`` table.
+
+    Both live on the restricted ring, which every ring with the same
+    restriction shares; these tuples only point at them.
+    """
+    rings = [restrict_to(a, s) for s in _constraints(a)[0]]
+    return tuple(map(class_stabilizer, rings)), tuple(map(coset_mins, rings))
+
+
+def _section_tables(
+    a: SRing, secs: tuple[Section, ...], outer: bool
+) -> tuple[Sequence[tuple[int, ...]], Sequence[Sequence[int]]]:
+    """Stabilizer and coset table at each of ``secs``, the sections of
+    ``_constraints(a)``: the class-fixing units for outer multipliers, the
+    trivial group for multipliers.
+
+    A table maps each unit k, read at k mod m, to the smallest unit of its
+    coset.  Under the trivial group that is the unit itself, so ``range(m)``
+    serves, except at m = 1, where the unit is written 1 (see ``unit_mod``)
+    and the table is (1, 1), as ``coset_mins`` gives it.
+    """
+    if outer:
+        return _coset_tables(a)
+    return [_TRIVIAL] * len(secs), [range(s.m) if s.m > 1 else (1, 1) for s in secs]
+
+
+def _families(a: SRing, outer: bool) -> list[Multiplier]:
+    """All consistent coset families: of the class-stabilizer cosets when
+    ``outer`` is true, else of single units.
 
     ``canon[i]`` maps each unit modulo the order of section i to the smallest
     unit of its coset, so coset membership is a comparison of integers and
@@ -215,16 +246,12 @@ def _families(a: SRing, stab_of: Callable[[Section], tuple[int, ...]]) -> list[M
     if not is_quasidense(a):
         raise ValueError("multiplier enumeration requires a quasidense ring")
     secs, supers, peers, order = _constraints(a)
-    stabs = [stab_of(s) for s in secs]
+    stabs, canon = _section_tables(a, secs, outer)
     if any(stabs[j] != stabs[i] for i, peer in enumerate(peers) for j in peer):
         return []
-    canon = [
-        {k: k for k in units(s.m).elements}
-        if stab == _TRIVIAL
-        else {k: min(unit_mod(k * e, s.m) for e in stab) for k in units(s.m).elements}
-        for s, stab in zip(secs, stabs)
+    reps = [
+        [k for k in units(s.m).elements if table[k] == k] for s, table in zip(secs, canon)
     ]
-    reps = [sorted(set(c.values())) for c in canon]
     chosen = [0] * len(secs)
     out: list[Multiplier] = []
 
@@ -236,13 +263,13 @@ def _families(a: SRing, stab_of: Callable[[Section], tuple[int, ...]]) -> list[M
             return
         m, sup, peer = secs[i].m, supers[i], peers[i]
         if sup:
-            cands = [canon[i][unit_mod(chosen[sup[0]], m)]]
+            cands = [canon[i][chosen[sup[0]] % m]]
         elif peer:
             cands = [chosen[peer[0]]]
         else:
             cands = reps[i]
         for rep in cands:
-            if all(canon[i][unit_mod(chosen[j], m)] == rep for j in sup) and all(
+            if all(canon[i][chosen[j] % m] == rep for j in sup) and all(
                 chosen[j] == rep for j in peer
             ):
                 chosen[i] = rep
@@ -254,62 +281,87 @@ def _families(a: SRing, stab_of: Callable[[Section], tuple[int, ...]]) -> list[M
 
 def mult_group(a: SRing) -> list[Multiplier]:
     """All multipliers of a quasidense ring, in canonical order."""
-    return _families(a, lambda s: _TRIVIAL)
+    return _families(a, False)
 
 
 def fmult_group(a: SRing) -> list[Multiplier]:
     """All outer multipliers of a quasidense ring, in canonical order."""
-    return _families(a, lambda s: aut_stabilizer(a, s).elements)
+    return _families(a, True)
 
 
 # -- validation and the quotient map -----------------------------------------
 
 
-def _is_family(
-    a: SRing, fam: Multiplier, stab_of: Callable[[Section], tuple[int, ...]]
-) -> bool:
+def _is_family(a: SRing, fam: Multiplier, outer: bool) -> bool:
     """Restriction and transport checks over the constraint lists of ``frs0(a)``.
 
-    A family must list each section of ``frs0(a)`` exactly once.
+    A family must list each section of ``frs0(a)`` exactly once, each with a
+    unit and a stabilizer that reduces to the expected one; the coset at a
+    section is then named by the ``canon`` entry of its unit.  Once section
+    t has passed, its coset is rep_t times the expected stabilizer S_t, so a
+    covering pair needs only rep_t mod m_s to lie in the coset at s: the
+    reduction of S_t lies in S_s (see ``_constraints``), so the whole reduced
+    coset follows.  Projective peers have one order, and two cosets of
+    subgroups are equal exactly when the subgroups and the cosets' smallest
+    units are.
     """
     secs, supers, peers, _ = _constraints(a)
     by_section = fam._by_section
     if len(fam.entries) != len(secs) or any(s not in by_section for s in secs):
         return False
-    cosets: list[frozenset[int]] = []
-    for s, sup, peer in zip(secs, supers, peers):
+    stabs, tables = _section_tables(a, secs, outer)
+    reps: list[int] = []
+    labels: list[int] = []
+    for s, sup, peer, want, canon in zip(secs, supers, peers, stabs, tables):
         _, stab, rep = by_section[s]
         m = s.m
-        coset = frozenset(unit_mod(e * rep, m) for e in stab)
-        if gcd(rep, m) != 1 or coset != frozenset(unit_mod(e * rep, m) for e in stab_of(s)):
+        # a unit rep multiplies Z_m bijectively, so the cosets through rep
+        # are equal exactly when the stabilizers reduce to one set
+        if gcd(rep, m) != 1 or (
+            stab != want and {unit_mod(e, m) for e in stab} != set(want)
+        ):
             return False
+        label = canon[rep % m]
         for j in sup:
-            if not {unit_mod(k, m) for k in cosets[j]} <= coset:
+            if canon[reps[j] % m] != label:
                 return False
         for j in peer:
-            if cosets[j] != coset:
+            if labels[j] != label or stabs[j] != want:
                 return False
-        cosets.append(coset)
+        reps.append(rep)
+        labels.append(label)
     return True
 
 
 def is_valid_multiplier(a: SRing, mu: Multiplier) -> bool:
     """Whether ``mu`` is a multiplier: a consistent family of single units."""
-    return _is_family(a, mu, lambda s: _TRIVIAL)
+    return _is_family(a, mu, False)
 
 
 def is_valid_outer_multiplier(a: SRing, om: Multiplier) -> bool:
     """Whether ``om`` is a consistent family of class-stabilizer cosets."""
-    return _is_family(a, om, lambda s: aut_stabilizer(a, s).elements)
+    return _is_family(a, om, True)
 
 
 def _project(a: SRing, mu: Multiplier) -> Multiplier:
-    """The family of stabilizer cosets through the units of ``mu``, unchecked."""
+    """The family of stabilizer cosets through the units of ``mu``, unchecked.
+
+    An entry off the sections of ``frs0(a)`` is read from its restriction;
+    the validator rejects such a family, and one with a non-unit, whose coset
+    entry is 0.
+    """
+    secs, _, _, order = _constraints(a)
+    stabs, canons = _coset_tables(a)
     entries = []
-    for s, _, k in mu.entries:
-        stab = aut_stabilizer(a, s).elements
-        m = s.m
-        entries.append((s, stab, min(unit_mod(k * e, m) for e in stab)))
+    for p, (s, _, k) in enumerate(mu.entries):
+        # entry p of a family over frs0(a) is search section order[p]
+        i = order[p] if p < len(order) else -1
+        if i >= 0 and secs[i] == s:
+            stab, canon = stabs[i], canons[i]
+        else:
+            a_s = restrict_to(a, s)
+            stab, canon = class_stabilizer(a_s), coset_mins(a_s)
+        entries.append((s, stab, canon[k % s.m]))
     return Multiplier._canonical(tuple(entries))
 
 

@@ -158,6 +158,20 @@ def _enumerate_cached(n: int) -> tuple[SRing, ...]:
     subgroups = unit_subgroups(n)
     dclass = tuple(gcd(x, n) for x in range(n))
     found: set[tuple[tuple[int, ...], ...]] = set()
+    # (candidate, its unit multiples) for each (anchor, region) met so far,
+    # the candidates whose multiples overlap already dropped
+    schur: dict[tuple[int, frozenset[int]], list[tuple[frozenset[int], frozenset]]] = {}
+
+    def candidates(anchor: int, region: frozenset[int]) -> list:
+        key = (anchor, region)
+        if key not in schur:
+            kept = []
+            for cand in _candidate_classes(n, anchor, region, subgroups, dclass):
+                orbit = frozenset(frozenset((k * x) % n for x in cand) for k in unit_elems)
+                if sum(map(len, orbit)) == len(frozenset().union(*orbit)):
+                    kept.append((cand, orbit))
+            schur[key] = kept
+        return schur[key]
 
     def rec(classes: tuple[frozenset[int], ...], pinned: frozenset[frozenset[int]]) -> None:
         unassigned = sorted(
@@ -168,10 +182,7 @@ def _enumerate_cached(n: int) -> tuple[SRing, ...]:
             return
         anchor = unassigned[0]
         region = next(cls for cls in classes if anchor in cls)
-        for cand in _candidate_classes(n, anchor, region, subgroups, dclass):
-            orbit = {frozenset((k * x) % n for x in cand) for k in unit_elems}
-            if sum(map(len, orbit)) != len(frozenset().union(*orbit)):
-                continue
+        for cand, orbit in candidates(anchor, region):
             multiple_of = [-1] * n
             for j, mult in enumerate(orbit):
                 for x in mult:

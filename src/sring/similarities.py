@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from operator import floordiv, itemgetter
 from typing import Optional
 
-from .core import SRing, _per_ring
+from .core import SRing, _per_ring, class_stabilizer
 from .errors import NoInducingUnit, NotASection, ReconstructionFailed, TheoryViolation
 from .modarith import units
-from .multipliers import Multiplier, aut_stabilizer, is_valid_outer_multiplier
+from .multipliers import Multiplier, is_valid_outer_multiplier
 from .sections import Section, _class_sections, frs0, is_quasidense, restrict_to
 
 __all__ = [
@@ -139,7 +139,20 @@ def _class_fingerprints(a: SRing) -> list[tuple]:
 
 
 def similarities(a: SRing, b: SRing) -> list[Similarity]:
-    """All similarities from ``a`` to ``b``, sorted by class map."""
+    """All similarities from ``a`` to ``b``, sorted by class map.
+
+    Every map the search reaches at a leaf passes ``is_similarity``, so none
+    is checked again.  When the last of three classes p, q, k is assigned,
+    ``consistent`` compares the constant of X_k in X_p * X_q with its image;
+    products commute, so every constant is compared by then.  Class 0 is
+    assigned first (it is the only class of size 1 whose smallest element is
+    0), and its image is 0: the constant of X_0 in X_0 * X_0 is 1, and of
+    the classes of size 1, {0} and possibly {n/2}, only {0} has it.  The
+    constant of X_0 in X_i * X_p is |X_i| when p is the inverse of i and 0
+    otherwise, so equal constants at k = 0 give equal class sizes and keep
+    inverse pairs.  The map is injective by ``used``, so it is a bijection
+    of the r classes.
+    """
     if a.n != b.n or a.rank != b.rank:
         return []
     if sorted(map(len, a.classes)) != sorted(map(len, b.classes)):
@@ -200,10 +213,7 @@ def similarities(a: SRing, b: SRing) -> list[Similarity]:
                 image[i] = -1
 
     search(0)
-    out = [
-        Similarity(a, b, cmap) for cmap in sorted(found) if is_similarity(a, b, cmap)
-    ]
-    return out
+    return [Similarity(a, b, cmap) for cmap in sorted(found)]
 
 
 @_per_ring
@@ -217,24 +227,40 @@ def _section_class_of(a: SRing, s: Section) -> tuple[int, ...]:
     )
 
 
+def _restricted_map(
+    s: Section,
+    src_of: tuple[int, ...],
+    dst_of: tuple[int, ...],
+    class_map: tuple[int, ...],
+    rank: int,
+) -> tuple[int, ...]:
+    """The map that ``class_map`` induces between the restrictions to ``s``,
+    of the given rank; ``src_of`` and ``dst_of`` are the ``_section_class_of``
+    lists of its source and its target."""
+    image = [-1] * rank
+    for src, j in zip(src_of, class_map):
+        if src < 0:
+            continue
+        dst = dst_of[j]
+        if dst < 0:  # pragma: no cover - theory
+            raise TheoryViolation(f"similarity moved a class out of the subgroup H_{s.u}")
+        if image[src] < 0:
+            image[src] = dst
+        elif image[src] != dst:  # pragma: no cover - theory
+            raise TheoryViolation(f"restriction to {s} is not well defined")
+    return tuple(image)
+
+
 def restrict_similarity(phi: Similarity, s: Section) -> Similarity:
     """The induced similarity between the restrictions to a common section."""
     a, b = phi.source, phi.target
     if s.n != a.n:
         raise NotASection(f"{s} does not live over Z_{a.n}")
     ra = restrict_to(a, s)
-    rb = restrict_to(b, s)
-    dst_of = _section_class_of(b, s)
-    cmap: dict[int, int] = {}
-    for src, j in zip(_section_class_of(a, s), phi.class_map):
-        if src < 0:
-            continue
-        dst = dst_of[j]
-        if dst < 0:  # pragma: no cover - theory
-            raise TheoryViolation(f"similarity moved a class out of the subgroup H_{s.u}")
-        if cmap.setdefault(src, dst) != dst:  # pragma: no cover - theory
-            raise TheoryViolation(f"restriction to {s} is not well defined")
-    return Similarity(ra, rb, tuple(cmap[i] for i in range(ra.rank)))
+    cmap = _restricted_map(
+        s, _section_class_of(a, s), _section_class_of(b, s), phi.class_map, ra.rank
+    )
+    return Similarity(ra, restrict_to(b, s), cmap)
 
 
 def from_unit(a_s: SRing, k: int) -> Optional[Similarity]:
@@ -255,18 +281,43 @@ def from_unit(a_s: SRing, k: int) -> Optional[Similarity]:
 
 def inducing_unit(a_s: SRing, psi: Similarity) -> Optional[int]:
     """The smallest unit k with X -> k*X equal to ``psi``, if one exists."""
-    return _unit_maps(a_s).get(psi.class_map)
+    return _unit_maps(a_s)[0].get(psi.class_map)
 
 
 @_per_ring
-def _unit_maps(a_s: SRing) -> dict[tuple[int, ...], int]:
-    """Each class map X -> k*X that a unit k induces, with its smallest k."""
+def _unit_maps(
+    a_s: SRing,
+) -> tuple[dict[tuple[int, ...], int], dict[int, tuple[int, ...]]]:
+    """Each class map X -> k*X that a unit k induces, with its smallest k, and
+    the same pairs keyed by that k, from one walk over the units."""
     maps: dict[tuple[int, ...], int] = {}
     for k in units(a_s.n).elements:
         phi = from_unit(a_s, k)
         if phi is not None:
             maps.setdefault(phi.class_map, k)
-    return maps
+    return maps, {k: cmap for cmap, k in maps.items()}
+
+
+@_per_ring
+def _extraction(
+    a: SRing,
+) -> tuple[
+    tuple[tuple[int, ...], ...],
+    tuple[int, ...],
+    tuple[dict[tuple[int, ...], int], ...],
+    tuple[tuple[int, ...], ...],
+]:
+    """For the sections of ``frs0(a)``, in order: each class's restricted class
+    (``_section_class_of``), the rank of the restriction, its class maps with
+    their smallest units, and its class stabilizer."""
+    secs = frs0(a)
+    rings = [restrict_to(a, s) for s in secs]
+    return (
+        tuple(_section_class_of(a, s) for s in secs),
+        tuple(a_s.rank for a_s in rings),
+        tuple(_unit_maps(a_s)[0] for a_s in rings),
+        tuple(map(class_stabilizer, rings)),
+    )
 
 
 def fs_of(a: SRing, phi: Similarity) -> Multiplier:
@@ -277,44 +328,79 @@ def fs_of(a: SRing, phi: Similarity) -> Multiplier:
     stabilizer coset at a section are exactly the units inducing the same
     map, so the smallest inducing unit is the smallest of its coset, and
     ``frs0`` lists the sections in order: the entries are already canonical.
+    Each restriction is read as ``restrict_similarity`` reads it, without
+    building the restricted ``Similarity``.
     """
     if not is_quasidense(a):
         raise ValueError("outer multiplier extraction requires a quasidense ring")
     if phi.source != a or phi.target != a:
         raise ValueError("similarity does not act on the given ring")
     entries = []
-    for s in frs0(a):
-        k = inducing_unit(restrict_to(a, s), restrict_similarity(phi, s))
+    for s, section_class, rank, maps, stab in zip(frs0(a), *_extraction(a)):
+        k = maps.get(_restricted_map(s, section_class, section_class, phi.class_map, rank))
         if k is None:
             raise NoInducingUnit(f"restriction to {s} is not induced by any unit")
-        entries.append((s, aut_stabilizer(a, s).elements, k))
+        entries.append((s, stab, k))
     om = Multiplier._canonical(tuple(entries))
     if not is_valid_outer_multiplier(a, om):  # pragma: no cover - theory
         raise TheoryViolation(f"extracted family of {phi} is not an outer multiplier")
     return om
 
 
+@_per_ring
+def _reassembly(
+    a: SRing,
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[dict[int, tuple[int, ...]], ...]]:
+    """For each class of ``a``, with p its generated-over-radical section: its
+    class in the restriction to p; for each class of that restriction, the
+    one class of ``a`` whose image it is, or -1 when several are; and the
+    restriction's class maps keyed by their smallest units."""
+    secs = _class_sections(a)
+    over_of: dict[Section, tuple[int, ...]] = {}
+    for p in dict.fromkeys(secs):
+        over = [-2] * restrict_to(a, p).rank
+        for i, d in enumerate(_section_class_of(a, p)):
+            if d >= 0:
+                over[d] = i if over[d] == -2 else -1
+        over_of[p] = tuple(over)
+    return (
+        tuple(_section_class_of(a, p)[i] for i, p in enumerate(secs)),
+        tuple(over_of[p] for p in secs),
+        tuple(_unit_maps(restrict_to(a, p))[1] for p in secs),
+    )
+
+
+def _set_image(a_s: SRing, i: int, k: int) -> int:
+    """The class of ``a_s`` equal to the set k * X_i, or -1."""
+    m, cl = a_s.n, a_s.class_of
+    image = {k * x % m for x in a_s.classes[i]}
+    j = cl[min(image)]
+    return j if len(image) == len(a_s.classes[j]) and all(cl[x] == j for x in image) else -1
+
+
 def similarity_from_outer(a: SRing, om: Multiplier) -> Similarity:
     """Reassemble a similarity from an outer multiplier, classwise.
 
-    Each class is pushed through the canonical coordinates of its own
-    generated-over-radical section, multiplied by the assigned unit there,
-    and pulled back.
+    Each class X lies in H_u for its generated-over-radical section p = (l, u)
+    and is a union of H_l-cosets, so it is the preimage in H_u of its
+    restricted class C.  Its image under the unit k assigned to p is the
+    preimage of k * C.  That is a class of ``a`` exactly when k * C is one
+    restricted class with a single class of ``a`` over it.  The unit a
+    family chooses is the smallest of its stabilizer coset, and the units of
+    one coset induce one class map, which is read from the table; any other
+    k is tested on the sets.
     """
     if not is_quasidense(a):
         raise ValueError("reconstruction requires a quasidense ring")
     if set(om.sections) != set(frs0(a)):
         raise ValueError("outer multiplier is not defined over this ring's sections")
-    cl = a.class_of
     cmap = []
-    for cls, p in zip(a.classes, _class_sections(a)):
+    for cls, p, src, over, maps_by_unit in zip(a.classes, _class_sections(a), *_reassembly(a)):
         k = om.unit_for(p)
-        step = a.n // p.u
-        m = p.m
-        image_coords = {(k * (x // step)) % m for x in cls}
-        image = [x for x in range(0, a.n, step) if (x // step) % m in image_coords]
-        j = cl[image[0]]
-        if len(image) != len(a.classes[j]) or any(cl[x] != j for x in image):
+        images = maps_by_unit.get(k)
+        dst = images[src] if images is not None else _set_image(restrict_to(a, p), src, k)
+        j = over[dst] if dst >= 0 else -1
+        if j < 0:
             raise ReconstructionFailed(
                 f"image of {list(cls)} under unit {k} on {p} is not a class"
             )

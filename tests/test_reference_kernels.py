@@ -22,13 +22,20 @@ unit of Z_m against the classes as frozensets; of
 ``similarities.restrict_similarity`` and ``inducing_unit``, which rescanned
 every class of the ring and tried the units in the image of the class of 1
 on each call; and of the loop of ``oracle._enumerate_cached``, which refined
-every candidate class split by the candidate alone.  They are kept here as
-test oracles only.
+every candidate class split by the candidate alone; of
+``similarities.fs_of``, which restricted each similarity through
+``restrict_similarity``, of ``similarity_from_outer``, which scanned H_u for
+the image of every class, of ``multipliers._is_family``, which compared
+cosets as frozensets, and of ``multipliers._project``, which took the
+smallest unit over each stabilizer coset; and of ``similarities`` with its
+final ``is_similarity`` filter.  They are kept here as test oracles only.
 """
 
 from __future__ import annotations
 
+import importlib
 import random
+import re
 from functools import lru_cache
 from itertools import permutations
 from math import gcd
@@ -36,10 +43,15 @@ from operator import add
 from typing import Optional
 
 import sring.multipliers
+import pytest
+
 from sring import (
     SRing,
     TheoryViolation,
+    NoInducingUnit,
     NotASection,
+    ReconstructionFailed,
+    SRingError,
     NotEquivalent,
     Section,
     ValidationError,
@@ -53,6 +65,7 @@ from sring import (
     from_unit,
     frs0,
     fs_of,
+    full_sring,
     inducing_unit,
     is_quasidense,
     is_separable,
@@ -65,6 +78,7 @@ from sring import (
     restrict_similarity,
     restrict_to,
     similarities,
+    similarity_from_outer,
     theta,
     validate,
 )
@@ -74,7 +88,7 @@ from sring.errors import NotInverseClosed, NotMultiplicativelyClosed
 from sring.modarith import divisors, unit_mod, unit_subgroups, units
 from sring.multipliers import Multiplier, _is_subsection
 from sring.oracle import _candidate_classes, _stabilize_partition, enumerate_srings
-from sring.sections import _proj_key
+from sring.sections import _class_sections, _proj_key
 from sring.similarities import Similarity, _constants
 
 
@@ -971,3 +985,251 @@ def test_enumeration_matches_refinement_by_candidate_alone():
 def test_enumeration_totals():
     assert sum(len(enumerate_srings(n)) for n in range(1, 37)) == 1275
     assert len(enumerate_srings(36)) == 284
+
+
+# -- the similarity <-> outer-multiplier layer over per-section tables ---------
+
+
+def _is_family_by_sets(a: SRing, fam: Multiplier, stab_of) -> bool:
+    secs, supers, peers, _ = sring.multipliers._constraints(a)
+    by_section = fam._by_section
+    if len(fam.entries) != len(secs) or any(s not in by_section for s in secs):
+        return False
+    cosets: list[frozenset[int]] = []
+    for s, sup, peer in zip(secs, supers, peers):
+        _, stab, rep = by_section[s]
+        m = s.m
+        coset = frozenset(unit_mod(e * rep, m) for e in stab)
+        if gcd(rep, m) != 1 or coset != frozenset(unit_mod(e * rep, m) for e in stab_of(s)):
+            return False
+        for j in sup:
+            if not {unit_mod(k, m) for k in cosets[j]} <= coset:
+                return False
+        for j in peer:
+            if cosets[j] != coset:
+                return False
+        cosets.append(coset)
+    return True
+
+
+def _project_by_min(a: SRing, mu: Multiplier) -> Multiplier:
+    entries = []
+    for s, _, k in mu.entries:
+        stab = aut_stabilizer(a, s).elements
+        m = s.m
+        entries.append((s, stab, min(unit_mod(k * e, m) for e in stab)))
+    return Multiplier._canonical(tuple(entries))
+
+
+def _theta_by_sets(a: SRing, mu: Multiplier) -> Multiplier:
+    om = _project_by_min(a, mu)
+    if not _is_family_by_sets(a, om, _stab_of(a)):
+        raise TheoryViolation(f"projection of {mu!r} is not an outer multiplier")
+    return om
+
+
+def _fs_of_by_restriction(a: SRing, phi: Similarity) -> Multiplier:
+    if not is_quasidense(a):
+        raise ValueError("outer multiplier extraction requires a quasidense ring")
+    if phi.source != a or phi.target != a:
+        raise ValueError("similarity does not act on the given ring")
+    entries = []
+    for s in frs0(a):
+        k = inducing_unit(restrict_to(a, s), restrict_similarity(phi, s))
+        if k is None:
+            raise NoInducingUnit(f"restriction to {s} is not induced by any unit")
+        entries.append((s, aut_stabilizer(a, s).elements, k))
+    om = Multiplier._canonical(tuple(entries))
+    if not _is_family_by_sets(a, om, _stab_of(a)):
+        raise TheoryViolation(f"extracted family of {phi} is not an outer multiplier")
+    return om
+
+
+def _similarity_from_outer_by_scan(a: SRing, om: Multiplier) -> Similarity:
+    if not is_quasidense(a):
+        raise ValueError("reconstruction requires a quasidense ring")
+    if set(om.sections) != set(frs0(a)):
+        raise ValueError("outer multiplier is not defined over this ring's sections")
+    cl = a.class_of
+    cmap = []
+    for cls, p in zip(a.classes, _class_sections(a)):
+        k = om.unit_for(p)
+        step = a.n // p.u
+        m = p.m
+        image_coords = {(k * (x // step)) % m for x in cls}
+        image = [x for x in range(0, a.n, step) if (x // step) % m in image_coords]
+        j = cl[image[0]]
+        if len(image) != len(a.classes[j]) or any(cl[x] != j for x in image):
+            raise ReconstructionFailed(
+                f"image of {list(cls)} under unit {k} on {p} is not a class"
+            )
+        cmap.append(j)
+    phi = Similarity(a, a, tuple(cmap))
+    if not is_similarity(a, a, phi.class_map):
+        raise ReconstructionFailed("classwise images do not form a similarity")
+    return phi
+
+
+def _similarities_filtered(a: SRing, b: SRing) -> list[Similarity]:
+    """The search as it was: every map found at a leaf checked again."""
+    return [phi for phi in similarities(a, b) if is_similarity(a, b, phi.class_map)]
+
+
+def _result_of(call, *args):
+    """The value of the call, or the type and message of the error it raises."""
+    try:
+        return ("value", call(*args))
+    except SRingError as exc:
+        return (type(exc), str(exc))
+
+
+def _changed(fam: Multiplier, s: Section, k: int) -> Multiplier:
+    """``fam`` with the unit k at the section s, through the public constructor."""
+    return Multiplier((t, stab, k if t == s else rep) for t, stab, rep in fam.entries)
+
+
+def _one_section_changes(fam: Multiplier) -> list[Multiplier]:
+    """Every family that differs from ``fam`` at one section, non-units included."""
+    out = dict.fromkeys(
+        _changed(fam, s, k) for s, _, rep in fam.entries for k in range(s.m) if k != rep
+    )
+    out.pop(fam, None)
+    return list(out)
+
+
+def _table_rings() -> list[SRing]:
+    """Every quasidense ring with n <= 30, and the five non-separable witnesses."""
+    return _quasidense_rings()[:-1] + _witnesses()
+
+
+def _reconstruction_kind(result) -> str:
+    if result[0] == "value":
+        return "similarity"
+    assert result[0] is ReconstructionFailed, result
+    return "not a class" if result[1].endswith("is not a class") else result[1]
+
+
+def test_similarity_layer_matches_restriction_and_scan():
+    # the search against its filtered form, fs_of against the restriction of
+    # each similarity and similarity_from_outer against the scan of H_u; for
+    # n <= 16 also on every family off an outer multiplier at one section
+    kinds = set()
+    for a in _table_rings():
+        sims = similarities(a, a)
+        assert sims == _similarities_filtered(a, a), a
+        for phi in sims:
+            assert fs_of(a, phi).entries == _fs_of_by_restriction(a, phi).entries, (a, phi)
+        fams = fmult_group(a)
+        if a.n <= 16:
+            fams += [p for om in fams for p in _one_section_changes(om)]
+        for om in fams:
+            got = _result_of(similarity_from_outer, a, om)
+            assert got == _result_of(_similarity_from_outer_by_scan, a, om), (a, om)
+            kinds.add(_reconstruction_kind(got))
+    assert kinds == {"similarity", "not a class", "classwise images do not form a similarity"}
+
+
+def test_validator_and_projection_match_set_references():
+    # both validators and theta against the frozenset validator, and the
+    # projection against the smallest unit over each coset, on every
+    # multiplier and outer multiplier and, for n <= 16, on every family off
+    # one of them at one section
+    verdicts = set()
+    for a in _table_rings():
+        stab_of = _stab_of(a)
+        mult, fmult = mult_group(a), fmult_group(a)
+        fams = list(dict.fromkeys(mult + fmult))
+        if a.n <= 16:
+            fams += [p for fam in fams for p in _one_section_changes(fam)]
+        for fam in fams:
+            got = (is_valid_multiplier(a, fam), is_valid_outer_multiplier(a, fam))
+            assert got == (
+                _is_family_by_sets(a, fam, _trivial),
+                _is_family_by_sets(a, fam, stab_of),
+            ), (a, fam)
+            verdicts.add(got)
+            assert _result_of(theta, a, fam) == _result_of(_theta_by_sets, a, fam), (a, fam)
+            if all(gcd(rep, s.m) == 1 for s, _, rep in fam.entries):
+                got_om = sring.multipliers._project(a, fam)
+                assert got_om.entries == _project_by_min(a, fam).entries, (a, fam)
+    assert len(verdicts) == 4
+
+
+def _faults(fam: Multiplier):
+    """Families from the public constructor with one entry of ``fam`` at fault:
+    a non-unit (0, and the smallest other one), or a stabilizer unsorted,
+    unreduced or with repeats."""
+    for s, stab, rep in fam.entries:
+        m = s.m
+        faults = [(stab, k) for k in range(m) if gcd(k, m) > 1][:2]
+        faults += [(stab[::-1], rep), (tuple(e + m for e in stab), rep), (stab + stab, rep)]
+        for bad_stab, bad_rep in faults:
+            yield Multiplier(
+                (t, bad_stab, bad_rep) if t == s else (t, st, r) for t, st, r in fam.entries
+            )
+
+
+def test_public_families_with_faults_match_set_references():
+    # the verdicts of both validators, and theta's result or TheoryViolation,
+    # on families the constructor accepts but the tables do not hold, made
+    # from the first two multipliers and outer multipliers of each ring
+    outcomes = set()
+    rings = [a for n in range(1, 17) for a in enumerate_srings(n) if is_quasidense(a)]
+    for a in rings + _witnesses()[:1]:
+        stab_of = _stab_of(a)
+        for fam in dict.fromkeys(mult_group(a)[:2] + fmult_group(a)[:2]):
+            for bad in _faults(fam):
+                got = (is_valid_multiplier(a, bad), is_valid_outer_multiplier(a, bad))
+                assert got == (
+                    _is_family_by_sets(a, bad, _trivial),
+                    _is_family_by_sets(a, bad, stab_of),
+                ), (a, bad)
+                result = _result_of(theta, a, bad)
+                assert result == _result_of(_theta_by_sets, a, bad), (a, bad)
+                outcomes.add((got, result[0]))
+    assert {(False, False), (True, False), (False, True)} <= {g for g, _ in outcomes}
+    assert {"value", TheoryViolation} == {r for _, r in outcomes}
+
+
+@pytest.mark.parametrize("rebuild", [similarity_from_outer, _similarity_from_outer_by_scan])
+def test_reconstruction_failures_name_their_cause(rebuild):
+    # a non-unit at the section of the class [1, 3] sends it onto H_2 = {0, 2},
+    # which is two classes
+    a = SRing(4, [[0], [1, 3], [2]])
+    om = fmult_group(a)[0]
+    assert rebuild(a, om).is_identity
+    with pytest.raises(
+        ReconstructionFailed,
+        match=re.escape("image of [1, 3] under unit 0 on Section(n=4, l=2, u=4) is not a class"),
+    ):
+        rebuild(a, _changed(om, Section(4, 2, 4), 0))
+    # the unit 2 on the section of {2, 4} alone swaps those two classes and
+    # fixes 1 and 5, which breaks 1 + 1 = 2
+    b = full_sring(6)
+    om = fmult_group(b)[0]
+    assert rebuild(b, om).is_identity
+    with pytest.raises(ReconstructionFailed, match="^classwise images do not form a similarity$"):
+        rebuild(b, _changed(om, Section(6, 1, 3), 2))
+
+
+def test_similarity_search_body_on_distinct_rings(monkeypatch):
+    # No two distinct rings with n <= 36 share their class fingerprints, so
+    # the search for a != b stops before its body.  With every fingerprint
+    # made equal, the 26 distinct pairs with equal class sizes reach it.
+    pairs = [
+        (a, b)
+        for n in range(1, 13)
+        for a in enumerate_srings(n)
+        for b in enumerate_srings(n)
+        if a.rank == b.rank
+    ]
+    assert len(pairs) == 250
+    module = importlib.import_module("sring.similarities")
+    monkeypatch.setattr(module, "_class_fingerprints", lambda a: [()] * a.rank)
+    searched = 0
+    for a, b in pairs:
+        got = similarities(a, b)
+        assert got == _similarities_by_vectors(a, b), (a, b)
+        assert all(is_similarity(a, b, phi.class_map) for phi in got), (a, b)
+        searched += a != b and sorted(map(len, a.classes)) == sorted(map(len, b.classes))
+    assert searched == 26
