@@ -428,15 +428,20 @@ def _restricted_ring(m: int, classes: tuple[tuple[int, ...], ...]) -> SRing:
 
 
 def radical(n: int, xs: Iterable[int]) -> int:
-    """Order of the largest subgroup H with H + X = X."""
+    """Order of the largest subgroup H with H + X = X.
+
+    H_d + X = X exactly when X + n/d lies in X: H_d is generated by n/d, and
+    translation is a bijection, so X + n/d lies in X only as X itself.  One
+    generator per divisor is tested, not every element of H_d.
+    """
     x = frozenset(int(v) % n for v in xs)
     if not x:
         raise ValueError("the radical of an empty set is undefined")
     best = 1
     for d in divisors(n)[1:]:
-        h = subgroup(n, d)
-        if all((g + v) % n in x for g in h for v in x):
-            best = max(best, d)
+        g = n // d
+        if all((g + v) % n in x for v in x):
+            best = d
     return best
 
 

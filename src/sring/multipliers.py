@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .core import SRing, _per_ring, class_stabilizer, coset_mins
 from .errors import TheoryViolation
@@ -148,15 +148,63 @@ _TRIVIAL = (1,)
 # -- enumeration -------------------------------------------------------------
 
 
+class _Constraints(NamedTuple):
+    """The constraint lists of ``frs0(a)`` and the roots that the search reads
+    from them; see ``_constraints`` and ``_rooted``."""
+
+    secs: tuple[Section, ...]
+    supers: tuple[tuple[int, ...], ...]
+    peers: tuple[tuple[int, ...], ...]
+    order: tuple[int, ...]
+    free: tuple[int, ...]
+    roots: tuple[int, ...]
+    checks: tuple[tuple[tuple[int, int], ...], ...]
+
+
+def _rooted(
+    secs: tuple[Section, ...],
+    supers: tuple[tuple[int, ...], ...],
+    peers: tuple[tuple[int, ...], ...],
+) -> _Constraints:
+    """The constraint lists with the section order, the free sections, each
+    section's root and the pairwise checks between roots.
+
+    Section i is linked to the sections of ``supers[i]``, then of
+    ``peers[i]``, all earlier than i.  A section with no link is free, and
+    ``free`` lists the free sections by index.  ``roots[i]`` is the position
+    in ``free`` of the root of section i: its own if it is free, else the root
+    of its first link.  Each further link j of section i asks that the roots
+    of i and j give section i one coset; when the roots differ, that check is
+    ``(i, b)`` in ``checks[a]``, where a > b are the positions of the two
+    roots, so it runs as soon as the later root has a value.
+    """
+    order = tuple(sorted(range(len(secs)), key=secs.__getitem__))
+    free: list[int] = []
+    roots: list[int] = []
+    checks: list[set[tuple[int, int]]] = []
+    for i, (sup, peer) in enumerate(zip(supers, peers)):
+        links = sup + peer
+        if not links:
+            roots.append(len(free))
+            free.append(i)
+            checks.append(set())
+            continue
+        r = roots[links[0]]
+        roots.append(r)
+        for j in links[1:]:
+            if roots[j] != r:
+                checks[max(r, roots[j])].add((i, min(r, roots[j])))
+    return _Constraints(
+        secs, supers, peers, order, tuple(free), tuple(roots),
+        tuple(tuple(sorted(c)) for c in checks),
+    )
+
+
 @_per_ring
-def _constraints(a: SRing) -> tuple[
-    tuple[Section, ...],
-    tuple[tuple[int, ...], ...],
-    tuple[tuple[int, ...], ...],
-    tuple[int, ...],
-]:
+def _constraints(a: SRing) -> _Constraints:
     """The sections of ``frs0(a)`` in search order, with each one's constraint
-    lists: its covering supersections and the first projective peer.
+    lists: its covering supersections and the first projective peer, and the
+    roots that ``_rooted`` reads from them.
 
     Sections are ordered by decreasing order m.  ``supers[i]`` lists the
     covering supersections of section i: the indices j whose section contains
@@ -185,7 +233,6 @@ def _constraints(a: SRing) -> tuple[
       every pair, as the validator requires.
     """
     secs = tuple(sorted(frs0(a), key=lambda s: (-s.m, s.l, s.u)))
-    order = tuple(sorted(range(len(secs)), key=secs.__getitem__))
     above = [
         {j for j, t in enumerate(secs[:i]) if _is_subsection(s, t)}
         for i, s in enumerate(secs)
@@ -199,7 +246,7 @@ def _constraints(a: SRing) -> tuple[
         () if (j := first.setdefault(_proj_key(s), i)) == i else (j,)
         for i, s in enumerate(secs)
     )
-    return secs, supers, peers, order
+    return _rooted(secs, supers, peers)
 
 
 @_per_ring
@@ -236,47 +283,81 @@ def _families(a: SRing, outer: bool) -> list[Multiplier]:
     """All consistent coset families: of the class-stabilizer cosets when
     ``outer`` is true, else of single units.
 
-    ``canon[i]`` maps each unit modulo the order of section i to the smallest
-    unit of its coset, so coset membership is a comparison of integers and
-    every chosen unit is already the smallest of its coset.  A section under
-    an already chosen supersection, or projectively equivalent to an already
-    chosen section, has one possible coset; only the rest branch.  Peers with
-    different stabilizers admit no family at all.
+    ``canon[i]`` maps each unit modulo the order m_i of section i to the
+    smallest unit of its coset, so coset membership is a comparison of
+    integers and every chosen unit is already the smallest of its coset.
+    The search branches only over the free sections of ``_constraints``,
+    over the smallest unit of each coset there.  Every other section i has
+    the coset ``canon[i][v % m_i]``, where v is the unit chosen at its root,
+    and each pairwise check of ``_constraints`` compares two such cosets.
+    This gives every family, and only families, for three reasons:
+
+    - m_i divides the order of its root, since along the chain of first
+      links each order divides the one before (a supersection's order is a
+      multiple, a peer's order is equal), so v mod m_i is defined.
+    - The coset at a supersection t of i is e * v mod m_t for some e in the
+      stabilizer at t, and its reduction mod m_i, (e mod m_i) * v, lies in
+      the coset at i, since e mod m_i lies in the stabilizer at i (see
+      ``_constraints``).  So the coset that a family must take at i, read
+      from its first link, is the one read from its root, and a further link
+      j holds exactly when the roots of i and j give section i one coset.
+    - Peers have one order and equal stabilizers, so they share one
+      ``coset_mins`` table, and a peer's coset read through that table is
+      its own.  The stabilizers are equal because projectively equivalent
+      sections S and T are both multiples of their meet D (in the notation
+      of ``_proj_key``, l = c * k_l and u = c * k_u with c coprime to m, and
+      D takes gcd(c, c') in place of c), which is a section of the ring
+      since its subgroups are intersections of ring subgroups.  For a
+      multiple S of D, the natural isomorphism H_u(D)/H_l(D) -> H_u/H_l
+      maps the image of each class inside H_u(D) onto that class's image in
+      H_u/H_l; these images cover H_u/H_l, so they are all the classes of
+      the restriction to S.  In the coordinates of ``restrict_to`` that
+      isomorphism is multiplication by the unit f = ``f_unit(D, S)``, and
+      k * fY = f * kY, so a unit fixes every class at D exactly when it
+      fixes every class at S.  The check below is kept as a guard: peers
+      with different stabilizers would admit no family at all.
     """
     if not is_quasidense(a):
         raise ValueError("multiplier enumeration requires a quasidense ring")
-    secs, supers, peers, order = _constraints(a)
+    secs, _, peers, order, free, roots, checks = _constraints(a)
     stabs, canon = _section_tables(a, secs, outer)
     if any(stabs[j] != stabs[i] for i, peer in enumerate(peers) for j in peer):
         return []
-    reps = [
-        [k for k in units(s.m).elements if table[k] == k] for s, table in zip(secs, canon)
-    ]
-    chosen = [0] * len(secs)
+    cands = [[k for k in units(secs[i].m).elements if canon[i][k] == k] for i in free]
+    tests = [[(canon[i], secs[i].m, b) for i, b in check] for check in checks]
+    layout = [(secs[i], stabs[i], canon[i], secs[i].m, roots[i]) for i in order]
     out: list[Multiplier] = []
-
-    def extend(i: int) -> None:
-        if i == len(secs):
-            out.append(
-                Multiplier._canonical(tuple((secs[j], stabs[j], chosen[j]) for j in order))
-            )
-            return
-        m, sup, peer = secs[i].m, supers[i], peers[i]
-        if sup:
-            cands = [canon[i][chosen[sup[0]] % m]]
-        elif peer:
-            cands = [chosen[peer[0]]]
-        else:
-            cands = reps[i]
-        for rep in cands:
-            if all(canon[i][chosen[j] % m] == rep for j in sup) and all(
-                chosen[j] == rep for j in peer
-            ):
-                chosen[i] = rep
-                extend(i + 1)
-
-    extend(0)
+    _extend(0, [0] * len(free), cands, tests, layout, out)
     return sorted(out, key=Multiplier.canonical_vector)
+
+
+def _extend(
+    d: int,
+    value: list[int],
+    cands: list[list[int]],
+    tests: list[list[tuple[Sequence[int], int, int]]],
+    layout: list[tuple[Section, tuple[int, ...], Sequence[int], int, int]],
+    out: list[Multiplier],
+) -> None:
+    """Give the free section at position d each candidate unit that passes
+    its checks against the units ``value[:d]`` chosen before it, and append
+    every family that the units complete to ``out``.
+
+    A module-level function, not a closure: a closure that calls itself is a
+    reference cycle, which would keep ``out`` and every family in it alive
+    until the cyclic garbage collector runs.
+    """
+    if d == len(value):
+        out.append(
+            Multiplier._canonical(
+                tuple((s, stab, table[value[r] % m]) for s, stab, table, m, r in layout)
+            )
+        )
+        return
+    for v in cands[d]:
+        if all(table[v % m] == table[value[b] % m] for table, m, b in tests[d]):
+            value[d] = v
+            _extend(d + 1, value, cands, tests, layout, out)
 
 
 def mult_group(a: SRing) -> list[Multiplier]:
@@ -305,7 +386,7 @@ def _is_family(a: SRing, fam: Multiplier, outer: bool) -> bool:
     subgroups are equal exactly when the subgroups and the cosets' smallest
     units are.
     """
-    secs, supers, peers, _ = _constraints(a)
+    secs, supers, peers = _constraints(a)[:3]
     by_section = fam._by_section
     if len(fam.entries) != len(secs) or any(s not in by_section for s in secs):
         return False
@@ -350,7 +431,7 @@ def _project(a: SRing, mu: Multiplier) -> Multiplier:
     the validator rejects such a family, and one with a non-unit, whose coset
     entry is 0.
     """
-    secs, _, _, order = _constraints(a)
+    secs, _, _, order = _constraints(a)[:4]
     stabs, canons = _coset_tables(a)
     entries = []
     for p, (s, _, k) in enumerate(mu.entries):
@@ -407,13 +488,21 @@ def is_separable(a: SRing) -> tuple[bool, SeparabilityReport]:
     reduct, trace = reduce_to_quasidense(a)
     mult = mult_group(reduct)
     fmult = fmult_group(reduct)
-    # each distinct image with one multiplier mapping to it; θ's guard runs
-    # once per image, and its checked copy is dropped so one copy stays alive
-    image = {_project(reduct, mu): mu for mu in mult}
+    # a valid outer family is fixed by its cosets at the free sections (see
+    # _families), so those name each image of θ; one multiplier per image
+    # goes through θ and its guard, and the checked copy is dropped
+    c = _constraints(reduct)
+    canons = _coset_tables(reduct)[1]
+    at = [(c.order.index(i), canons[i], c.secs[i].m) for i in c.free]
+
+    def key(fam: Multiplier) -> tuple[int, ...]:
+        return tuple(canon[fam.entries[p][2] % m] for p, canon, m in at)
+
+    image = {key(mu): mu for mu in mult}
     for mu in image.values():
         theta(reduct, mu)
     missing = sorted(
-        (om for om in fmult if om not in image),
+        (om for om in fmult if key(om) not in image),
         key=Multiplier.canonical_vector,
     )
     separable = not missing

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
 from itertools import product
 
 import pytest
@@ -245,3 +247,27 @@ def test_projective_transport_is_enforced():
     )
     assert bad.unit_for(s) != bad.unit_for(t)
     assert not is_valid_multiplier(a, bad)
+
+
+def test_separability_with_four_free_sections():
+    # cyclotomic_sring(720, [7, 11]) is quasidense, and 4 of its 210 sections
+    # of frs0 are free; the search it replaced took seconds here, so only the
+    # verdict and the group orders are pinned
+    a = cyclotomic_sring(720, [7, 11])
+    assert len(sring.multipliers._constraints(a).free) == 4
+    separable, report = is_separable(a)
+    assert separable is True
+    assert (report.mult_order, report.fmult_order, report.theta_image_order) == (128, 16, 16)
+    assert report.missing is None
+
+
+def test_families_are_freed_without_the_cycle_collector():
+    # the search holds no reference cycle, so a group nobody keeps is freed
+    # at once rather than at the next run of the cyclic garbage collector
+    a = cyclotomic_sring(24, [-1])
+    gc.disable()
+    try:
+        refs = [weakref.ref(fams[0]) for fams in (mult_group(a), fmult_group(a))]
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()

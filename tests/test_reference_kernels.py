@@ -9,6 +9,9 @@ per class and character; of ``sections.proj_classes`` and
 graph over all sections of Z_n and compose ``f_unit`` along a BFS path; of
 ``multipliers._families`` and
 ``multipliers._is_family``, which test every pair of sections of ``frs0``,
+of ``multipliers._families`` over the covering relation, with one recursion
+frame per section of ``frs0``, of ``core.radical``, which tested every
+element of each subgroup,
 of ``multipliers._constraints``, which listed for each section every
 section containing it and every earlier projective peer,
 and of ``multipliers.theta``, which re-sorted every projected family through
@@ -75,6 +78,8 @@ from sring import (
     is_valid_outer_multiplier,
     mult_group,
     proj_classes,
+    radical,
+    reduce_to_quasidense,
     restrict_similarity,
     restrict_to,
     similarities,
@@ -85,11 +90,21 @@ from sring import (
 from sring.core import _class_stabilizer, _split, _wl_stabilize, sections_lattice
 from sring.duality import _power_table
 from sring.errors import NotInverseClosed, NotMultiplicativelyClosed
-from sring.modarith import divisors, unit_mod, unit_subgroups, units
+from sring.modarith import divisors, subgroup, unit_mod, unit_subgroups, units
 from sring.multipliers import Multiplier, _is_subsection
 from sring.oracle import _candidate_classes, _stabilize_partition, enumerate_srings
 from sring.sections import _class_sections, _proj_key
 from sring.similarities import Similarity, _constants
+
+
+def _radical_by_scan(n: int, xs) -> int:
+    x = frozenset(int(v) % n for v in xs)
+    best = 1
+    for d in divisors(n)[1:]:
+        h = subgroup(n, d)
+        if all((g + v) % n in x for g in h for v in x):
+            best = max(best, d)
+    return best
 
 
 def _wl_stabilize_pairwise(n: int, class_of: list[int]) -> list[list[int]]:
@@ -335,11 +350,51 @@ def _families_all_pairs(a: SRing, stab_of) -> list[Multiplier]:
     return sorted(out, key=Multiplier.canonical_vector)
 
 
+def _families_covering(a: SRing, outer: bool) -> list[Multiplier]:
+    """The search over the covering lists of ``_constraints``, one recursion
+    frame per section: a section under a chosen supersection, or with a
+    chosen peer, has one candidate, and the rest branch over every coset."""
+    if not is_quasidense(a):
+        raise ValueError("multiplier enumeration requires a quasidense ring")
+    secs, supers, peers, order = sring.multipliers._constraints(a)[:4]
+    stabs, canon = sring.multipliers._section_tables(a, secs, outer)
+    if any(stabs[j] != stabs[i] for i, peer in enumerate(peers) for j in peer):
+        return []
+    reps = [
+        [k for k in units(s.m).elements if table[k] == k] for s, table in zip(secs, canon)
+    ]
+    chosen = [0] * len(secs)
+    out: list[Multiplier] = []
+
+    def extend(i: int) -> None:
+        if i == len(secs):
+            out.append(
+                Multiplier._canonical(tuple((secs[j], stabs[j], chosen[j]) for j in order))
+            )
+            return
+        m, sup, peer = secs[i].m, supers[i], peers[i]
+        if sup:
+            cands = [canon[i][chosen[sup[0]] % m]]
+        elif peer:
+            cands = [chosen[peer[0]]]
+        else:
+            cands = reps[i]
+        for rep in cands:
+            if all(canon[i][chosen[j] % m] == rep for j in sup) and all(
+                chosen[j] == rep for j in peer
+            ):
+                chosen[i] = rep
+                extend(i + 1)
+
+    extend(0)
+    return sorted(out, key=Multiplier.canonical_vector)
+
+
 def _constraints_all_pairs(a: SRing):
     """Search order and constraint lists of ``frs0(a)``: every earlier section
-    containing section i, and every earlier section of its projective class."""
+    containing section i, and every earlier section of its projective class,
+    with the roots that ``_rooted`` reads from them."""
     secs = tuple(sorted(frs0(a), key=lambda s: (-s.m, s.l, s.u)))
-    order = tuple(sorted(range(len(secs)), key=secs.__getitem__))
     keys = [_proj_key(s) for s in secs]
     supers = tuple(
         tuple(j for j, t in enumerate(secs[:i]) if _is_subsection(s, t))
@@ -349,7 +404,7 @@ def _constraints_all_pairs(a: SRing):
         tuple(j for j in range(i) if keys[j] == key)
         for i, key in enumerate(keys)
     )
-    return secs, supers, peers, order
+    return sring.multipliers._rooted(secs, supers, peers)
 
 
 def _is_family_all_pairs(a: SRing, fam: Multiplier, stab_of) -> bool:
@@ -391,6 +446,16 @@ def _orbit_labels(rng: random.Random, n: int, labels: int) -> list[int]:
             for k in sub:
                 class_of[k * z % n] = label
     return class_of
+
+
+def test_radical_matches_scan_over_every_subgroup_element():
+    classes = 0
+    for n in range(1, 37):
+        for a in enumerate_srings(n):
+            for cls in a.classes:
+                assert radical(n, cls) == _radical_by_scan(n, cls), (n, cls)
+                classes += 1
+    assert classes == 10298
 
 
 def test_refinement_matches_pairwise_on_random_partitions():
@@ -656,7 +721,7 @@ def test_covering_lists_generate_all_pairs():
     # the transitive closure of the covering supersections is the subsection
     # relation on frs0, and the first peers name the projective classes
     for a in _covering_rings() + [cyclotomic_sring(240, [-1])]:
-        secs, supers, peers, order = sring.multipliers._constraints(a)
+        secs, supers, peers, order = sring.multipliers._constraints(a)[:4]
         ref = _constraints_all_pairs(a)
         assert (secs, order) == (ref[0], ref[3]), a
         closure_of: list[set[int]] = []
@@ -671,7 +736,7 @@ def test_covering_lists_generate_all_pairs():
 def test_stabilizer_restricts_into_subsection_stabilizer():
     # the fact the search relies on when it checks only covering pairs
     for a in _covering_rings():
-        secs, supers, _, _ = _constraints_all_pairs(a)
+        secs, supers = _constraints_all_pairs(a)[:2]
         for i, sup in enumerate(supers):
             s = secs[i]
             below = set(aut_stabilizer(a, s).elements)
@@ -703,6 +768,47 @@ def test_multiplier_layer_matches_all_pairs_constraints(monkeypatch):
             )
             seen.add(got)
     assert len(seen) == 4
+
+
+def _root_search_rings() -> list[SRing]:
+    """The rings of ``_quasidense_rings``, the quasidense reducts of the n = 72
+    witnesses, and two rings over Z_720 with several free sections."""
+    from test_oracle import NONCYCLOTOMIC_WITNESSES, WITNESS_COUNTS
+
+    witnesses = [cyclotomic_sring(n, list(gens)) for n, gens in WITNESS_COUNTS if n == 72]
+    witnesses += [validate(72, entry[0]) for entry in NONCYCLOTOMIC_WITNESSES.values()]
+    rings = _quasidense_rings() + [reduce_to_quasidense(a)[0] for a in witnesses]
+    return rings + [cyclotomic_sring(720, [7]), cyclotomic_sring(720, [-1])]
+
+
+def test_root_search_matches_covering_search():
+    # the search over free sections against the one frame per section it replaced
+    free = 0
+    for a in _root_search_rings():
+        assert mult_group(a) == _families_covering(a, False), a
+        assert fmult_group(a) == _families_covering(a, True), a
+        free = max(free, len(sring.multipliers._constraints(a).free))
+    assert free > 1
+
+
+def test_projective_peers_have_equal_stabilizers():
+    # the restriction to a peer t of s is the restriction to s multiplied by
+    # f_unit(s, t), so the two share one stabilizer and one coset table, as
+    # the root search assumes
+    pairs = 0
+    for a in _root_search_rings():
+        secs, _, peers = sring.multipliers._constraints(a)[:3]
+        for i, peer in enumerate(peers):
+            for j in peer:
+                s, t = secs[j], secs[i]
+                f = f_unit(s, t)
+                moved = {
+                    tuple(sorted(f * y % s.m for y in cls)) for cls in restrict_to(a, s).classes
+                }
+                assert moved == set(map(tuple, restrict_to(a, t).classes)), (a, s, t)
+                assert aut_stabilizer(a, s).elements == aut_stabilizer(a, t).elements, (a, s, t)
+                pairs += 1
+    assert pairs == 3862
 
 
 def _is_similarity_by_vectors(a: SRing, b: SRing, class_map: tuple[int, ...]) -> bool:
@@ -991,7 +1097,7 @@ def test_enumeration_totals():
 
 
 def _is_family_by_sets(a: SRing, fam: Multiplier, stab_of) -> bool:
-    secs, supers, peers, _ = sring.multipliers._constraints(a)
+    secs, supers, peers = sring.multipliers._constraints(a)[:3]
     by_section = fam._by_section
     if len(fam.entries) != len(secs) or any(s not in by_section for s in secs):
         return False
