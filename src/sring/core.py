@@ -13,7 +13,7 @@ from functools import lru_cache, wraps
 from itertools import compress
 from math import gcd
 from operator import add
-from typing import Callable, Collection, Iterable, Sequence, TypeVar, cast
+from typing import Callable, Collection, Iterable, Optional, Sequence, TypeVar, cast
 
 from .errors import (
     MissingIdentityClass,
@@ -236,9 +236,8 @@ def _class_stabilizer(n: int, class_of: Sequence[int]) -> tuple[int, ...]:
 
     Only the units in the class of 1 are tried: k = k * 1 must share the
     class of 1.  The result is a group, and refinement keeps it: a finer
-    partition has no larger stabilizer, and every class that ``_split``
-    makes is invariant under this group, so the stabilizer of each round's
-    output is this group again.
+    partition has no larger stabilizer, and every class that ``_split`` or
+    ``_wl_stabilize`` makes is invariant under this group.
     """
     if n == 1:
         return (1,)
@@ -286,7 +285,11 @@ def coset_mins(a: SRing) -> tuple[int, ...]:
 def _split(
     n: int, class_of: Sequence[int], stab: Sequence[int]
 ) -> tuple[list[int], int]:
-    """One refinement round: new class ids by first occurrence, and their number.
+    """One full refinement round: new class ids by first occurrence, and their number.
+
+    ``SRing._check_ring`` validates with it: a partition with {0} a class
+    and inverse-closed classes is an S-ring exactly when the round splits
+    nothing.
 
     The signature of z is its class, the class of -z and the sorted codes
     ``class_of[x] * r + class_of[z - x]`` over all x.  The number of codes
@@ -319,31 +322,128 @@ def _split(
     return new_class_of, len(ids)
 
 
-def _wl_stabilize(n: int, class_of: list[int]) -> list[list[int]]:
-    """Refine a partition of Z_n until it satisfies the S-ring axioms.
+def _wl_stabilize(
+    n: int, class_of: Sequence[int], stable: Optional[Sequence[int]] = None
+) -> list[list[int]]:
+    """Refine a partition of Z_n to the coarsest stable partition below it.
 
-    Each round splits classes by negation and by the coefficient profile of
-    every pairwise class product; splits are monotone, so the loop reaches
-    the coarsest S-ring partition refining the start.  Every round keeps
-    each class invariant under the class stabilizer of the start (see
-    ``_split``), so that group is computed once and serves every round.
+    A partition is stable when negation maps each class onto a class and
+    every product of two class sums is constant on each class; with {0} a
+    class, that is an S-ring.  ``stable``, if given, is a stable partition
+    that ``class_of`` refines (the ``class_of`` of an S-ring); the default
+    is the trivial partition {Z_n}, which is stable too.
+
+    Refinement runs a splitter queue.  For sets A, B of residues let
+    N(A, B)(z) = #{x in A : z - x in B}, the coefficient of z in the product
+    of the set sums of A and B.  A splitter A gives each residue z the key
+    (whether -z is in A, the sorted classes of z - x over x in A), which
+    holds N(A, B)(z) for every current class B.  Every class whose residues
+    disagree is split, and all its parts but the one with the most elements
+    are queued (Hopcroft's rule).  The queue starts with the classes of
+    ``class_of`` inside each class of ``stable``, all but the largest, and
+    hands out the newest splitter first, which measured fastest; the order
+    does not change the result.  It stops when it is empty or every class
+    is one orbit of K, the class stabilizer of the start.
+
+    The result is the coarsest stable partition W that refines the start,
+    the fixed point that a round over every class product at a time
+    reaches too:
+
+    - Every split is forced.  W refines the start and, by induction, every
+      later partition, so a splitter A, its negation and each class B are
+      unions of classes of W; then N(A, B) and the test "-z in A" are
+      constant on the classes of W, and W refines the result.
+    - The result is stable.  Call Z_n, the classes of ``stable`` and every
+      splitter taken from the queue processed.  N is additive in both
+      arguments and symmetric (x -> z - x maps one count onto the other).
+      Of two splitters, the one processed first was a union of classes when
+      the other was processed, whose keys then held their N.  Z_n and the
+      classes of ``stable`` are unions of classes at every step, N(Z_n, B)
+      is |B|, and two classes of ``stable`` have N constant on its classes.
+      So the N of any two processed sets is constant on the final classes.
+      Every class is a signed sum of processed or queued sets: each class
+      of ``class_of`` is queued or its class of ``stable`` minus the queued
+      ones, and the part of a split class that is not queued is the class
+      minus the others.  When the queue is empty, every class is a signed
+      sum of processed sets, so the product of any two final classes, and
+      the test "-z in C" for a final class C, is constant on the final
+      classes.  Keys are K-invariant (below), so a class that is one
+      K-orbit never splits, and stopping once every class is one changes
+      nothing.
+
+    Keys are computed only at the smallest element of each K-orbit, and
+    the rest of the orbit follows it.  Every class and every splitter A is
+    a union of K-orbits, and for k in K, x -> kx permutes A and maps z - x
+    to kz - kx, which has the same class; k also fixes the test -z in A.
+
+    Classes come back numbered by first occurrence, or in the order of the
+    input's labels when nothing splits and those labels are 0..k-1.
     """
     stab = _class_stabilizer(n, class_of)
-    while True:
-        new_class_of, count = _split(n, class_of, stab)
-        if count == max(class_of) + 1:
-            classes: list[list[int]] = [[] for _ in range(count)]
-            for z in range(n):
-                classes[class_of[z]].append(z)
-            return classes
-        class_of = new_class_of
+    first: dict[int, int] = {}
+    cl = [first.setdefault(c, len(first)) for c in class_of]
+    # reps[c]: the smallest element of each K-orbit in class c
+    reps: list[list[int]] = [[] for _ in first]
+    orbit: list[list[int]] = [[]] * n
+    for z in range(n):
+        if not orbit[z]:
+            orb = list({k * z % n: None for k in stab})
+            for x in orb:
+                orbit[x] = orb
+            reps[cl[z]].append(z)
+    orbits = sum(map(len, reps))
+
+    def elements(rs: list[int]) -> list[int]:
+        return [x for z in rs for x in orbit[z]]
+
+    within: dict[int, list[list[int]]] = {}
+    for rs in reps:
+        within.setdefault(0 if stable is None else stable[rs[0]], []).append(elements(rs))
+    queue: list[list[int]] = []
+    for parts in within.values():
+        parts.sort(key=len)
+        queue += parts[:-1]
+    while queue and len(reps) < orbits:
+        splitter = queue.pop()
+        in_a = bytearray(n)
+        for x in splitter:
+            in_a[x] = 1
+        for c in range(len(reps)):
+            if len(reps[c]) < 2:
+                continue
+            keyed: dict[tuple, list[int]] = {}
+            for z in reps[c]:
+                # cl[z - x] is cl[(z - x) % n] for z - x in (-n, 0) too
+                key = (in_a[-z], *sorted(map(cl.__getitem__, map(z.__sub__, splitter))))
+                keyed.setdefault(key, []).append(z)
+            if len(keyed) > 1:
+                split = sorted(
+                    ((elements(rs), rs) for rs in keyed.values()), key=lambda p: len(p[0])
+                )
+                reps[c] = split.pop()[1]
+                for part, rs in split:
+                    for x in part:
+                        cl[x] = len(reps)
+                    reps.append(rs)
+                    queue.append(part)
+    if len(reps) == len(first) and max(class_of) + 1 == len(first):
+        labels = class_of
+    else:
+        first = {}
+        labels = [first.setdefault(c, len(first)) for c in cl]
+    classes: list[list[int]] = [[] for _ in reps]
+    for z, c in enumerate(labels):
+        classes[c].append(z)
+    return classes
 
 
 def closure(n: int, seeds: Sequence[Iterable[int]]) -> SRing:
     """The smallest S-ring over Z_n whose module contains every seed set.
 
     Starts from the atoms of the boolean algebra generated by the seeds
-    together with {0}, then refines to stability.
+    together with {0}, then refines them by the splitter queue of
+    ``_wl_stabilize``, whose known-stable partition is the trivial one
+    {Z_n}: every atom but the largest starts as a splitter.
     """
     if n < 1:
         raise ValueError(f"group order must be positive, got {n}")

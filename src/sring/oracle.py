@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import product
 from math import gcd
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .core import SRing, _convolve, _wl_stabilize, full_sring, refines, validate
 from .errors import (
@@ -68,12 +68,17 @@ class Isomorphism:
 # -- enumeration of all S-rings ----------------------------------------------
 
 
-def _stabilize_partition(n: int, classes: Iterable[frozenset[int]]) -> tuple[frozenset[int], ...]:
+def _labels(n: int, classes: Iterable[Iterable[int]]) -> list[int]:
+    """The class index of each residue of Z_n."""
     class_of = [0] * n
     for i, cls in enumerate(classes):
         for x in cls:
             class_of[x] = i
-    stable = _wl_stabilize(n, class_of)
+    return class_of
+
+
+def _stabilize_partition(n: int, classes: Iterable[frozenset[int]]) -> tuple[frozenset[int], ...]:
+    stable = _wl_stabilize(n, _labels(n, classes))
     return tuple(frozenset(c) for c in stable)
 
 
@@ -173,37 +178,48 @@ def _enumerate_cached(n: int) -> tuple[SRing, ...]:
             schur[key] = kept
         return schur[key]
 
-    def rec(classes: tuple[frozenset[int], ...], pinned: frozenset[frozenset[int]]) -> None:
-        unassigned = sorted(
-            x for cls in classes if cls not in pinned for x in cls
-        )
-        if not unassigned:
-            found.add(tuple(sorted(tuple(sorted(c)) for c in classes)))
-            return
-        anchor = unassigned[0]
-        region = next(cls for cls in classes if anchor in cls)
-        for cand, orbit in candidates(anchor, region):
-            multiple_of = [-1] * n
-            for j, mult in enumerate(orbit):
-                for x in mult:
-                    multiple_of[x] = j
-            refined_of = [0] * n
-            ids: dict[tuple[int, int], int] = {}
-            for i, cls in enumerate(classes):
-                for x in cls:
-                    refined_of[x] = ids.setdefault((i, multiple_of[x]), len(ids))
-            stable = tuple(frozenset(c) for c in _wl_stabilize(n, refined_of))
-            stable_set = set(stable)
-            if cand not in stable_set or not pinned <= stable_set:
-                continue
-            assert orbit <= stable_set, "unit multiple of a class must be a class"
-            singletons = {cls for cls in stable if len(cls) == 1}
-            rec(stable, pinned | orbit | singletons)
-
     start = _stabilize_partition(n, [frozenset({0}), frozenset(range(1, n))])
-    rec(start, frozenset({frozenset({0})}))
+    _enumerate_rec(n, start, frozenset({frozenset({0})}), candidates, found)
     rings = sorted(found)
     return tuple(validate(n, cls) for cls in rings)
+
+
+def _enumerate_rec(
+    n: int,
+    classes: tuple[frozenset[int], ...],
+    pinned: frozenset[frozenset[int]],
+    candidates: Callable[[int, frozenset[int]], list],
+    found: set[tuple[tuple[int, ...], ...]],
+) -> None:
+    """Try each candidate class of the smallest element outside ``pinned``
+    against the stable partition ``classes``, and add every ring reached to
+    ``found``.
+
+    A module-level function, not a closure: a closure that calls itself is
+    a reference cycle, which would keep every partition of the search alive
+    until the cyclic garbage collector runs.
+    """
+    unassigned = sorted(x for cls in classes if cls not in pinned for x in cls)
+    if not unassigned:
+        found.add(tuple(sorted(tuple(sorted(c)) for c in classes)))
+        return
+    anchor = unassigned[0]
+    region = next(cls for cls in classes if anchor in cls)
+    class_of = _labels(n, classes)
+    for cand, orbit in candidates(anchor, region):
+        multiple_of = [-1] * n
+        for j, mult in enumerate(orbit):
+            for x in mult:
+                multiple_of[x] = j
+        ids: dict[tuple[int, int], int] = {}
+        refined_of = [ids.setdefault(key, len(ids)) for key in zip(class_of, multiple_of)]
+        stable = tuple(frozenset(c) for c in _wl_stabilize(n, refined_of, class_of))
+        stable_set = set(stable)
+        if cand not in stable_set or not pinned <= stable_set:
+            continue
+        assert orbit <= stable_set, "unit multiple of a class must be a class"
+        singletons = {cls for cls in stable if len(cls) == 1}
+        _enumerate_rec(n, stable, pinned | orbit | singletons, candidates, found)
 
 
 def enumerate_srings(n: int, *, max_n: int = ENUMERATE_BOUND) -> list[SRing]:
@@ -351,53 +367,64 @@ def _is_coset(n: int, cls: tuple[int, ...]) -> bool:
 def _coset_rings_refining(a: SRing) -> list[SRing]:
     """All S-rings refining ``a`` whose every class is a coset."""
     n = a.n
-    unit_elems = units(n).elements
     out: list[SRing] = []
-
-    def rec(classes: tuple[frozenset[int], ...], pinned: frozenset[frozenset[int]]) -> None:
-        unassigned = sorted(x for cls in classes if cls not in pinned for x in cls)
-        if not unassigned:
-            out.append(SRing(n, [tuple(sorted(c)) for c in classes], check=False))
-            return
-        anchor = unassigned[0]
-        region = next(cls for cls in classes if anchor in cls)
-        host = frozenset(a.classes[a.class_of[anchor]])
-        for d in divisors(n):
-            coset = frozenset((anchor + h) % n for h in subgroup(n, d))
-            if not (coset <= region and coset <= host):
-                continue
-            neg = frozenset((-x) % n for x in coset)
-            if neg != coset and neg & coset:
-                continue
-            refined_of = [0] * n
-            ids: dict[tuple[int, bool], int] = {}
-            for i, cls in enumerate(classes):
-                for x in cls:
-                    refined_of[x] = ids.setdefault((i, x in coset), len(ids))
-            stable = tuple(frozenset(c) for c in _wl_stabilize(n, refined_of))
-            stable_set = set(stable)
-            if coset not in stable_set or not pinned <= stable_set:
-                continue
-            orbit = {frozenset((k * x) % n for x in coset) for k in unit_elems}
-            assert orbit <= stable_set, "unit multiple of a class must be a class"
-            if any(
-                len({a.class_of[x] for x in cls}) > 1 for cls in orbit
-            ):
-                continue  # a pinned class would straddle classes of the input
-            singletons = {cls for cls in stable if len(cls) == 1}
-            rec(stable, pinned | orbit | singletons)
-
     start = _stabilize_partition(
         a.n, [frozenset({0}), frozenset(range(1, n))] if n > 1 else [frozenset({0})]
     )
     if not refines(full_sring(n), a):  # pragma: no cover - trivially true
         raise TheoryViolation("full ring does not refine the input")
-    rec(start, frozenset({frozenset({0})}))
+    _coset_rec(a, units(n).elements, start, frozenset({frozenset({0})}), out)
     kept = []
     for ring in out:
         if refines(ring, a) and all(_is_coset(n, cls) for cls in ring.classes):
             kept.append(ring)
     return sorted(kept, key=lambda r: r.classes)
+
+
+def _coset_rec(
+    a: SRing,
+    unit_elems: tuple[int, ...],
+    classes: tuple[frozenset[int], ...],
+    pinned: frozenset[frozenset[int]],
+    out: list[SRing],
+) -> None:
+    """Try each coset of the smallest element outside ``pinned`` that fits
+    the stable partition ``classes`` and ``a`` as a class, and append every
+    ring reached to ``out``.
+
+    A module-level function, not a closure, for the reason given at
+    ``_enumerate_rec``.
+    """
+    n = a.n
+    unassigned = sorted(x for cls in classes if cls not in pinned for x in cls)
+    if not unassigned:
+        out.append(SRing(n, [tuple(sorted(c)) for c in classes], check=False))
+        return
+    anchor = unassigned[0]
+    region = next(cls for cls in classes if anchor in cls)
+    host = frozenset(a.classes[a.class_of[anchor]])
+    class_of = _labels(n, classes)
+    for d in divisors(n):
+        coset = frozenset((anchor + h) % n for h in subgroup(n, d))
+        if not (coset <= region and coset <= host):
+            continue
+        neg = frozenset((-x) % n for x in coset)
+        if neg != coset and neg & coset:
+            continue
+        ids: dict[tuple[int, bool], int] = {}
+        refined_of = [ids.setdefault((c, x in coset), len(ids)) for x, c in enumerate(class_of)]
+        stable = tuple(frozenset(c) for c in _wl_stabilize(n, refined_of, class_of))
+        stable_set = set(stable)
+        if coset not in stable_set or not pinned <= stable_set:
+            continue
+        orbit = {frozenset((k * x) % n for x in coset) for k in unit_elems}
+        assert orbit <= stable_set, "unit multiple of a class must be a class"
+        if any(
+            len({a.class_of[x] for x in cls}) > 1 for cls in orbit
+        ):
+            continue  # a pinned class would straddle classes of the input
+        singletons = {cls for cls in stable if len(cls) == 1}
+        _coset_rec(a, unit_elems, stable, pinned | orbit | singletons, out)
 
 
 def coset_closure(a: SRing, *, max_n: int = COSET_CLOSURE_BOUND) -> SRing:

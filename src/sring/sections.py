@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 from .core import (
     SRing,
     _per_ring,
-    closure,
+    _wl_stabilize,
     full_sring,
     generated,
     is_wreath,
@@ -266,16 +266,26 @@ def singular_witness(a: SRing) -> Optional[tuple[ProjClass, Section]]:
 
 
 def s_extension(a: SRing, s: Section) -> SRing:
-    """Close ``a`` together with all H_l-cosets inside H_u."""
+    """Close ``a`` together with all H_l-cosets inside H_u.
+
+    The refinement starts from each class of ``a`` split by the H_l-cosets
+    inside H_u, the partition into the atoms that the classes and the
+    cosets generate.  That start refines ``a``, which is stable already, so
+    refinement is handed ``a``'s classes and queues only the new parts (see
+    ``core._wl_stabilize``).
+    """
     if s.n != a.n or (s.l, s.u) not in sections_lattice(a):
         raise NotASection(f"{s} is not a section of {a!r}")
-    step_u = a.n // s.u
-    step_l = a.n // s.l
-    cosets = {
-        frozenset((x + h) % a.n for h in range(0, a.n, step_l))
-        for x in range(0, a.n, step_u)
-    }
-    result = closure(a.n, list(a.classes) + sorted(cosets, key=min))
+    n = a.n
+    step_u = n // s.u
+    step_l = n // s.l
+    ids: dict[tuple[int, int], int] = {}
+    class_of = [
+        # z and z' in H_u share an H_l-coset exactly when z = z' mod n/l
+        ids.setdefault((c, z % step_l if z % step_u == 0 else -1), len(ids))
+        for z, c in enumerate(a.class_of)
+    ]
+    result = SRing(n, _wl_stabilize(n, class_of, a.class_of), check=False)
     if restrict_to(result, s) != full_sring(s.m):  # pragma: no cover - theory
         raise TheoryViolation(f"extension did not fully split the section {s}")
     return result

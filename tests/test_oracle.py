@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import warnings
 
 import pytest
@@ -328,3 +329,18 @@ def test_nonseparable_rings_exist_is_not_assumed():
     ]
     # no witness this small; the criterion and oracle agree on that
     assert bad == []
+
+
+def test_backtrackers_are_freed_without_the_cycle_collector():
+    # the enumerator and the coset-ring search hold no reference cycle, so
+    # the partitions they try are freed at once rather than at the next run
+    # of the cyclic garbage collector
+    a = cyclotomic_sring(12, [-1])
+    gc.collect()
+    gc.disable()
+    try:
+        sring.oracle._enumerate_cached.__wrapped__(12)
+        sring.oracle._coset_rings_refining(a)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -31,7 +31,9 @@ every candidate class split by the candidate alone; of
 the image of every class, of ``multipliers._is_family``, which compared
 cosets as frozensets, and of ``multipliers._project``, which took the
 smallest unit over each stabilizer coset; and of ``similarities`` with its
-final ``is_similarity`` filter.  They are kept here as test oracles only.
+final ``is_similarity`` filter; and of the round loop of
+``core._wl_stabilize``, which ran one full ``_split`` round after another
+until a round split nothing.  They are kept here as test oracles only.
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ from operator import add
 from typing import Optional
 
 import sring.multipliers
+import sring.oracle
+import sring.sections
 import pytest
 
 from sring import (
@@ -79,11 +83,13 @@ from sring import (
     mult_group,
     proj_classes,
     radical,
+    rank2_sring,
     reduce_to_quasidense,
     restrict_similarity,
     restrict_to,
     similarities,
     similarity_from_outer,
+    tensor,
     theta,
     validate,
 )
@@ -92,7 +98,7 @@ from sring.duality import _power_table
 from sring.errors import NotInverseClosed, NotMultiplicativelyClosed
 from sring.modarith import divisors, subgroup, unit_mod, unit_subgroups, units
 from sring.multipliers import Multiplier, _is_subsection
-from sring.oracle import _candidate_classes, _stabilize_partition, enumerate_srings
+from sring.oracle import _candidate_classes, _labels, _stabilize_partition, enumerate_srings
 from sring.sections import _class_sections, _proj_key
 from sring.similarities import Similarity, _constants
 
@@ -108,6 +114,10 @@ def _radical_by_scan(n: int, xs) -> int:
 
 
 def _wl_stabilize_pairwise(n: int, class_of: list[int]) -> list[list[int]]:
+    if max(class_of) + 1 != len(set(class_of)):
+        # gapped labels: number the classes by first occurrence, so that the
+        # label count is the class count (every later round numbers them so)
+        class_of = _relabel(class_of)
     while True:
         r = max(class_of) + 1
         classes: list[list[int]] = [[] for _ in range(r)]
@@ -128,6 +138,22 @@ def _wl_stabilize_pairwise(n: int, class_of: list[int]) -> list[list[int]]:
             key = tuple(sigs[z])
             new_class_of[z] = ids.setdefault(key, len(ids))
         if len(ids) == r:
+            return classes
+        class_of = new_class_of
+
+
+def _wl_stabilize_by_rounds(n: int, class_of: list[int]) -> list[list[int]]:
+    """The earlier ``core._wl_stabilize``: one full ``_split`` round after
+    another, every class product at a time, until a round splits nothing."""
+    if max(class_of) + 1 != len(set(class_of)):
+        class_of = _relabel(class_of)
+    stab = _class_stabilizer(n, class_of)
+    while True:
+        new_class_of, count = _split(n, class_of, stab)
+        if count == max(class_of) + 1:
+            classes: list[list[int]] = [[] for _ in range(count)]
+            for z in range(n):
+                classes[class_of[z]].append(z)
             return classes
         class_of = new_class_of
 
@@ -481,6 +507,98 @@ def test_closure_refinement_matches_pairwise():
         stable = _wl_stabilize(n, list(class_of))
         assert stable == _wl_stabilize_pairwise(n, class_of)
         assert closure(n, [{1, n - 1}]) == SRing(n, stable, check=False)
+
+
+def test_refinement_on_gapped_labels():
+    # labels 1 and 2 only; 0 and 1 share a class, but -0 = 0 is in it and
+    # -1 = 5 is not, so that class splits
+    for kernel in (_wl_stabilize, _wl_stabilize_pairwise, _wl_stabilize_by_rounds):
+        assert kernel(6, [2, 2, 1, 2, 2, 1]) == [[0, 3], [1, 4], [2, 5]]
+
+
+def _assert_refinements_match_rounds(calls) -> int:
+    """Each recorded refinement against the round loop, with and without
+    its stable partition; returns how many came with one."""
+    with_stable = 0
+    for n, class_of, stable in calls:
+        expected = _wl_stabilize_by_rounds(n, class_of)
+        assert _wl_stabilize(n, class_of) == expected, (n, class_of)
+        if stable is not None:
+            with_stable += 1
+            # the caller's partition is stable and the start refines it
+            assert _split(n, stable, _class_stabilizer(n, stable))[1] == len(set(stable))
+            assert all(len({stable[x] for x in cls}) == 1 for cls in _classes(class_of))
+            assert _wl_stabilize(n, class_of, stable) == expected, (n, class_of, stable)
+    return with_stable
+
+
+def _record_refinements(monkeypatch, module, run) -> list:
+    """Every (n, class_of, stable) that ``run()`` hands to ``module._wl_stabilize``."""
+    calls = []
+
+    def record(n, class_of, stable=None):
+        calls.append((n, list(class_of), None if stable is None else list(stable)))
+        return _wl_stabilize(n, class_of, stable)
+
+    with monkeypatch.context() as m:
+        m.setattr(module, "_wl_stabilize", record)
+        run()
+    return calls
+
+
+def test_enumerator_refinements_match_rounds(monkeypatch):
+    calls = _record_refinements(
+        monkeypatch,
+        sring.oracle,
+        lambda: [sring.oracle._enumerate_cached.__wrapped__(n) for n in range(1, 25)],
+    )
+    assert _assert_refinements_match_rounds(calls) == len(calls) - 23 > 0
+
+
+def test_coset_ring_refinements_match_rounds(monkeypatch):
+    rings = [a for n in range(1, 13) for a in enumerate_srings(n)]
+    calls = _record_refinements(
+        monkeypatch,
+        sring.oracle,
+        lambda: [sring.oracle._coset_rings_refining(a) for a in rings],
+    )
+    assert _assert_refinements_match_rounds(calls) == len(calls) - len(rings)
+
+
+def test_s_extension_refinements_match_rounds(monkeypatch):
+    rings = [a for n in range(1, 31) for a in enumerate_srings(n)]
+    rings += [rank2_sring(120), tensor(rank2_sring(9), cyclotomic_sring(35, [2]))]
+    calls = _record_refinements(
+        monkeypatch, sring.sections, lambda: [reduce_to_quasidense(a) for a in rings]
+    )
+    assert _assert_refinements_match_rounds(calls) == len(calls) > 0
+
+
+def test_closure_refinements_match_rounds():
+    # the construct benchmark's closures: closure(n, [{x, -x}]) for the
+    # first eight units x
+    for n in (360, 512):
+        for x in [x for x in range(1, n) if gcd(x, n) == 1][:8]:
+            class_of = [0 if z == 0 else 1 if z in (x, n - x) else 2 for z in range(n)]
+            stable = _wl_stabilize_by_rounds(n, class_of)
+            assert _wl_stabilize(n, class_of) == stable, (n, x)
+            assert closure(n, [{x, n - x}]) == SRing(n, stable, check=False)
+
+
+def test_refinement_matches_rounds_on_random_partitions():
+    rng = random.Random(3117)
+    for _ in range(300):
+        n = rng.randrange(1, 60)
+        labels = rng.randint(1, min(n, 6))
+        class_of = _relabel(rng.randrange(labels) for _ in range(n))
+        stable = _wl_stabilize_by_rounds(n, class_of)
+        assert _wl_stabilize(n, class_of) == stable, (n, class_of)
+        # split the stable partition again at random and refine the meet
+        # with and without the stable partition passed in
+        stable_of = _labels(n, stable)
+        ids: dict[tuple[int, int], int] = {}
+        meet = [ids.setdefault((c, rng.randrange(2)), len(ids)) for c in stable_of]
+        _assert_refinements_match_rounds([(n, meet, stable_of)])
 
 
 def _outcome(check, n: int, classes):
