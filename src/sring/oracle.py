@@ -7,8 +7,10 @@ partial closure; candidate classes decompose over divisor classes into
 cosets of a unit subgroup.  The unit multiples of a class are classes of
 the same ring (Schur's theorem on multipliers), so a candidate that
 overlaps one of its multiples without equalling it is skipped before any
-refinement, and every multiple of a candidate splits the partition before
-it is refined and is pinned at once.
+refinement, and so is a candidate X for which some product X·P with a
+pinned class P is not constant on X and on every pinned class.  Every
+multiple of a candidate splits the partition before it is refined and is
+pinned at once.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ __all__ = [
 ENUMERATE_BOUND = 36
 ISOMORPHISM_BOUND = 20
 COSET_CLOSURE_BOUND = 16
+
+_ZERO = frozenset({0})
 
 
 @dataclass(frozen=True)
@@ -184,6 +188,30 @@ def _enumerate_cached(n: int) -> tuple[SRing, ...]:
     return tuple(validate(n, cls) for cls in rings)
 
 
+def _pinned_products_constant(
+    n: int, cand: frozenset[int], pinned: frozenset[frozenset[int]]
+) -> bool:
+    """True when, for every pinned class P other than {0}, the product of
+    the set sums of ``cand`` and P is constant on ``cand`` and on every
+    pinned class.
+
+    ``_enumerate_rec`` accepts a candidate X only when the coarsest S-ring
+    below the split partition has X and every pinned class among its
+    classes.  In that ring X·P is a sum of class sums with integer
+    coefficients, so its coefficient at z depends only on the class of z,
+    and it is constant on X and on each pinned class.  So a candidate for
+    which this is False is one the refinement would reject, and skipping it
+    changes no ring found.
+    """
+    checked = (cand, *pinned)
+    for p in pinned:
+        if p != _ZERO:
+            counts = _convolve(n, cand, p)
+            if any(len({counts[z] for z in cls}) > 1 for cls in checked):
+                return False
+    return True
+
+
 def _enumerate_rec(
     n: int,
     classes: tuple[frozenset[int], ...],
@@ -194,6 +222,8 @@ def _enumerate_rec(
     """Try each candidate class of the smallest element outside ``pinned``
     against the stable partition ``classes``, and add every ring reached to
     ``found``.
+
+    A candidate is refined only when ``_pinned_products_constant`` holds.
 
     A module-level function, not a closure: a closure that calls itself is
     a reference cycle, which would keep every partition of the search alive
@@ -207,6 +237,8 @@ def _enumerate_rec(
     region = next(cls for cls in classes if anchor in cls)
     class_of = _labels(n, classes)
     for cand, orbit in candidates(anchor, region):
+        if not _pinned_products_constant(n, cand, pinned):
+            continue
         multiple_of = [-1] * n
         for j, mult in enumerate(orbit):
             for x in mult:

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .core import SRing, closure, restriction, validate
 from .duality import dual_section, dual_sring
 from .errors import CosetClosureNotCoset, LimitExceeded, SRingError
 from .multipliers import aut_stabilizer, fmult_group, is_separable
 from .oracle import (
+    COSET_CLOSURE_BOUND,
+    ENUMERATE_BOUND,
+    ISOMORPHISM_BOUND,
     coset_closure,
     enumerate_srings,
     is_separable_bruteforce,
@@ -77,8 +80,15 @@ def _describe(a: SRing) -> str:
 
 
 def _sweep(
-    suite: str, max_n: int, ns: Iterable[int], body: Callable[[int], str]
+    suite: str, max_n: int, limit: int, ns: Iterable[int], body: Callable[[int], str]
 ) -> SuiteResult:
+    """Run ``body`` on each n of ``ns``, one check each.
+
+    ``limit`` is the largest n every search of the suite accepts; a larger
+    ``max_n`` raises ``LimitExceeded`` before any n is checked.
+    """
+    if max_n > limit:
+        raise LimitExceeded(f"suite {suite} up to n = {max_n} exceeds the bound {limit}")
     ns = list(ns)
     if not ns:
         raise ValueError(f"suite {suite} checks no n up to {max_n}")
@@ -110,7 +120,7 @@ def suite_axioms(max_n: int = 24) -> SuiteResult:
                 validate(sub.n, [list(c) for c in sub.classes])
         return f"{len(rings)} rings"
 
-    return _sweep("axioms", max_n, range(1, max_n + 1), body)
+    return _sweep("axioms", max_n, ENUMERATE_BOUND, range(1, max_n + 1), body)
 
 
 def suite_oracle(max_n: int = 16) -> SuiteResult:
@@ -128,7 +138,7 @@ def suite_oracle(max_n: int = 16) -> SuiteResult:
                 )
         return f"{count} rings"
 
-    return _sweep("oracle", max_n, range(1, max_n + 1), body)
+    return _sweep("oracle", max_n, ISOMORPHISM_BOUND, range(1, max_n + 1), body)
 
 
 def suite_phi_iso(max_n: int = 24) -> SuiteResult:
@@ -157,19 +167,19 @@ def suite_phi_iso(max_n: int = 24) -> SuiteResult:
                     )
         return f"{count} quasidense rings"
 
-    return _sweep("phi-iso", max_n, range(1, max_n + 1), body)
+    return _sweep("phi-iso", max_n, ENUMERATE_BOUND, range(1, max_n + 1), body)
 
 
-def _prime_powers(max_n: int) -> list[int]:
-    out = []
+def _prime_powers(max_n: int) -> Iterator[int]:
+    """The prime powers up to ``max_n``, lazily, so that ``_sweep`` checks
+    its bound before any is computed."""
     for n in range(2, max_n + 1):
         p = min(q for q in range(2, n + 1) if n % q == 0)
         m = n
         while m % p == 0:
             m //= p
         if m == 1:
-            out.append(n)
-    return out
+            yield n
 
 
 def suite_pgroups(max_n: int = 32) -> SuiteResult:
@@ -186,7 +196,7 @@ def suite_pgroups(max_n: int = 32) -> SuiteResult:
                 raise _Failure(f"oracle disagrees on {_describe(a)}")
         return f"{count} rings"
 
-    return _sweep("pgroups", max_n, _prime_powers(max_n), body)
+    return _sweep("pgroups", max_n, ENUMERATE_BOUND, _prime_powers(max_n), body)
 
 
 def suite_duality(max_n: int = 24) -> SuiteResult:
@@ -220,7 +230,7 @@ def suite_duality(max_n: int = 24) -> SuiteResult:
                         )
         return f"{count} rings"
 
-    return _sweep("duality", max_n, range(1, max_n + 1), body)
+    return _sweep("duality", max_n, ENUMERATE_BOUND, range(1, max_n + 1), body)
 
 
 def _restricted_class_maps(a: SRing, fine: SRing) -> set[tuple[int, ...]]:
@@ -261,7 +271,7 @@ def suite_coset_closure(max_n: int = 12) -> SuiteResult:
                 )
         return f"{count} rings"
 
-    return _sweep("coset-closure", max_n, range(1, max_n + 1), body)
+    return _sweep("coset-closure", max_n, COSET_CLOSURE_BOUND, range(1, max_n + 1), body)
 
 
 SUITES: dict[str, Callable[..., SuiteResult]] = {

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sring.cli import main
+from sring.core import CLOSURE_BOUND
+from sring.oracle import ENUMERATE_BOUND
+from sring.verify import SUITES
 
 
 @pytest.fixture
@@ -99,6 +104,53 @@ def test_validate_fuzz_exits_cleanly(tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "fuzz-ring.json"
     path.write_text(json.dumps(data))
     assert main(["validate", str(path)]) in (0, 2)
+
+
+def _far_past(bound: int):
+    return st.integers(bound + 1, 10**12)
+
+
+# small values run in milliseconds; values past a bound must be refused
+# before any work of that size starts
+_malformed = st.sampled_from(["", "x", "1.5", "1e3", "0x10", "--", "-"])
+_enumerate_argv = st.tuples(
+    st.integers(-3, 10) | _far_past(ENUMERATE_BOUND),
+    st.none() | st.integers(-3, 10) | _far_past(ENUMERATE_BOUND),
+).map(lambda p: [p[0]] + ([] if p[1] is None else ["--max-n", p[1]]))
+_closure_argv = st.tuples(
+    st.integers(-3, 64) | _far_past(CLOSURE_BOUND),
+    st.lists(st.lists(st.integers(-(10**12), 10**12), max_size=3), max_size=3),
+).map(lambda p: [p[0], "--seed-sets", ";".join(",".join(map(str, s)) for s in p[1])])
+_verify_argv = st.tuples(
+    st.sampled_from(sorted(SUITES)), st.integers(-3, 6) | _far_past(ENUMERATE_BOUND)
+).map(lambda p: [p[0], "--max-n", p[1]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(["enumerate", "closure", "verify"]),
+    data=st.data(),
+)
+def test_numeric_arguments_fuzz_exits_cleanly(command, data):
+    # Any numeric argument, far past each bound too: the command runs (0),
+    # reports an input error (2) or refuses the size (3); no traceback.
+    args = data.draw(
+        {"enumerate": _enumerate_argv, "closure": _closure_argv, "verify": _verify_argv}[command]
+    )
+    if command == "enumerate" and len(args) == 3:
+        # a lifted bound is honoured, so only a small group may be enumerated
+        assume(args[0] <= 10 or args[2] < args[0])
+    argv = [command] + [str(a) for a in args]
+    if data.draw(st.booleans()):
+        argv[data.draw(st.integers(1, len(argv) - 1))] = data.draw(_malformed)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 def test_missing_file_is_input_error(capsys):
@@ -219,6 +271,35 @@ def test_verify_suite_pass(capsys):
 def test_verify_limit_exceeded(capsys):
     code, out, err = run(capsys, "verify", "oracle", "--max-n", "25")
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "suite, bound",
+    [
+        ("axioms", 36),
+        ("phi-iso", 36),
+        ("pgroups", 36),
+        ("duality", 36),
+        ("oracle", 20),
+        ("coset-closure", 16),
+    ],
+)
+def test_verify_refuses_bound_before_checking(capsys, monkeypatch, suite, bound):
+    # the bound is checked before the first n, so no ring is enumerated and
+    # no list of n up to the bound is built
+    def refuse(n, **kwargs):
+        raise AssertionError(f"enumerated Z_{n}")
+
+    monkeypatch.setattr("sring.verify.enumerate_srings", refuse)
+    for max_n in (bound + 1, 10**12):
+        code, out, err = run(capsys, "verify", suite, "--max-n", str(max_n))
+        assert code == 3 and not out
+        assert f"exceeds the bound {bound}" in err
+
+
+def test_closure_limit(capsys):
+    code, out, err = run(capsys, "closure", "5000000", "--seed-sets", "1,2")
+    assert code == 3 and "limit exceeded" in err and not out
 
 
 @pytest.mark.parametrize(

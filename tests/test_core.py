@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sring import (
+    LimitExceeded,
     MissingIdentityClass,
     NotAPartition,
     NotASection,
@@ -117,6 +118,14 @@ def test_closure_no_seeds_gives_rank_two():
     assert closure(1, []) == full_sring(1)
     for n in (2, 6, 9):
         assert closure(n, []) == rank2_sring(n)
+
+
+def test_closure_size_bound():
+    with pytest.raises(LimitExceeded):
+        closure(core.CLOSURE_BOUND + 1, [[1, 2]])
+    with pytest.raises(LimitExceeded):
+        closure(10, [[1]], max_n=9)
+    assert closure(10, [[1]], max_n=10) == full_sring(10)
 
 
 def test_closure_idempotent_on_every_small_ring():

@@ -33,7 +33,10 @@ cosets as frozensets, and of ``multipliers._project``, which took the
 smallest unit over each stabilizer coset; and of ``similarities`` with its
 final ``is_similarity`` filter; and of the round loop of
 ``core._wl_stabilize``, which ran one full ``_split`` round after another
-until a round split nothing.  They are kept here as test oracles only.
+until a round split nothing; and of ``core._class_stabilizer``, which tried
+every unit in the class of 1 against every residue, and of
+``oracle._enumerate_rec``, which refined every candidate class.  They are
+kept here as test oracles only.
 """
 
 from __future__ import annotations
@@ -41,8 +44,8 @@ from __future__ import annotations
 import importlib
 import random
 import re
-from functools import lru_cache
-from itertools import permutations
+from functools import lru_cache, partial
+from itertools import compress, permutations
 from math import gcd
 from operator import add
 from typing import Optional
@@ -98,7 +101,13 @@ from sring.duality import _power_table
 from sring.errors import NotInverseClosed, NotMultiplicativelyClosed
 from sring.modarith import divisors, subgroup, unit_mod, unit_subgroups, units
 from sring.multipliers import Multiplier, _is_subsection
-from sring.oracle import _candidate_classes, _labels, _stabilize_partition, enumerate_srings
+from sring.oracle import (
+    _candidate_classes,
+    _labels,
+    _pinned_products_constant,
+    _stabilize_partition,
+    enumerate_srings,
+)
 from sring.sections import _class_sections, _proj_key
 from sring.similarities import Similarity, _constants
 
@@ -224,6 +233,18 @@ def _fixing_units_by_sets(m: int, classes) -> tuple[int, ...]:
         ):
             keep.append(k)
     return tuple(keep)
+
+
+def _class_stabilizer_by_trial(n: int, class_of) -> tuple[int, ...]:
+    """Every unit in the class of 1 tried against every residue."""
+    if n == 1:
+        return (1,)
+    cl = class_of
+    return (1,) + tuple(
+        k
+        for k in compress(range(2, n), map(cl[1].__eq__, cl[2:]))
+        if gcd(k, n) == 1 and all(cl[k * x % n] == c for x, c in enumerate(cl))
+    )
 
 
 def _classes(class_of) -> list[list[int]]:
@@ -692,6 +713,31 @@ def _partly_fixed_partitions():
                 cl = _relabel(1 if z in k else c for z, c in enumerate(cl))
                 if set(k) - set(_fixing_units_by_sets(n, _classes(cl))):
                     yield n, cl
+
+
+def _random_refinements():
+    """Every ring with n <= 36 with each residue outside {0} moved to a second
+    copy of its class with probability 1/3, and the coarsest stable partition
+    below that."""
+    rng = random.Random(1636)
+    for n in range(1, 37):
+        for a in enumerate_srings(n):
+            split = _relabel(
+                2 * c + (z > 0 and rng.random() < 1 / 3) for z, c in enumerate(a.class_of)
+            )
+            yield n, split
+            yield n, _labels(n, _wl_stabilize(n, split))
+
+
+def test_class_stabilizer_matches_trial_of_every_unit():
+    grown = pruned = 0
+    for source in (_ring_partitions(), _partly_fixed_partitions(), _random_refinements()):
+        for n, cl in source:
+            stab = _class_stabilizer(n, cl)
+            assert stab == _class_stabilizer_by_trial(n, cl), (n, cl)
+            grown += len(stab) > 1
+            pruned += len(stab) < sum(gcd(k, n) == 1 and cl[k] == cl[1 % n] for k in range(n))
+    assert grown > 1000 and pruned > 100
 
 
 def test_split_matches_every_residue_on_ring_partitions():
@@ -1197,6 +1243,57 @@ def _enumerate_refining_by_candidate(n: int) -> list[tuple[tuple[int, ...], ...]
     start = _stabilize_partition(n, [frozenset({0}), frozenset(range(1, n))])
     rec(start, frozenset({frozenset({0})}))
     return sorted(found)
+
+
+def _enumerate_rec_refining_every_candidate(n, classes, pinned, candidates, found, outcomes):
+    """``oracle._enumerate_rec`` refining every candidate class; appends
+    (candidate, pinned, accepted) to ``outcomes`` for each."""
+    unassigned = sorted(x for cls in classes if cls not in pinned for x in cls)
+    if not unassigned:
+        found.add(tuple(sorted(tuple(sorted(c)) for c in classes)))
+        return
+    anchor = unassigned[0]
+    region = next(cls for cls in classes if anchor in cls)
+    class_of = _labels(n, classes)
+    for cand, orbit in candidates(anchor, region):
+        multiple_of = [-1] * n
+        for j, mult in enumerate(orbit):
+            for x in mult:
+                multiple_of[x] = j
+        ids: dict[tuple[int, int], int] = {}
+        refined_of = [ids.setdefault(key, len(ids)) for key in zip(class_of, multiple_of)]
+        stable = tuple(frozenset(c) for c in _wl_stabilize(n, refined_of, class_of))
+        stable_set = set(stable)
+        accepted = cand in stable_set and pinned <= stable_set
+        outcomes.append((cand, pinned, accepted))
+        if not accepted:
+            continue
+        assert orbit <= stable_set, "unit multiple of a class must be a class"
+        singletons = {cls for cls in stable if len(cls) == 1}
+        _enumerate_rec_refining_every_candidate(
+            n, stable, pinned | orbit | singletons, candidates, found, outcomes
+        )
+
+
+def test_enumeration_matches_refinement_of_every_candidate(monkeypatch):
+    # the same rings in the same order for every n <= 30, and the pinned
+    # product test keeps every candidate that the refinement accepts
+    dropped = 0
+    for n in range(1, 31):
+        outcomes: list = []
+        with monkeypatch.context() as m:
+            m.setattr(
+                sring.oracle,
+                "_enumerate_rec",
+                partial(_enumerate_rec_refining_every_candidate, outcomes=outcomes),
+            )
+            want = sring.oracle._enumerate_cached.__wrapped__(n)
+        assert tuple(enumerate_srings(n)) == want, n
+        for cand, pinned, accepted in outcomes:
+            kept = _pinned_products_constant(n, cand, pinned)
+            assert kept or not accepted, (n, cand, pinned)
+            dropped += not kept
+    assert dropped > 500
 
 
 def test_enumeration_matches_refinement_by_candidate_alone():
