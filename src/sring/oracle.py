@@ -1,16 +1,16 @@
 """Brute-force oracle: enumeration, isomorphism search, and coset closure.
 
 Everything here is exhaustive and bound-guarded; it exists to cross-check
-the structural machinery, so it shares as little as possible with it.  The
-enumerator walks classes of the smallest unassigned element, pruned by the
-partial closure; candidate classes decompose over divisor classes into
-cosets of a unit subgroup.  The unit multiples of a class are classes of
-the same ring (Schur's theorem on multipliers), so a candidate that
-overlaps one of its multiples without equalling it is skipped before any
-refinement, and so is a candidate X for which some product X·P with a
-pinned class P is not constant on X and on every pinned class.  Every
-multiple of a candidate splits the partition before it is refined and is
-pinned at once.
+the structural machinery, so it shares as little as possible with it.  One
+backtracker finds every S-ring and the coset rings of ``coset_closure``,
+each with its own candidate function.  It walks classes of the smallest
+unassigned element, pruned by the partial closure.  The unit multiples of a
+class are classes of the same ring (Schur's theorem on multipliers), so a
+candidate that overlaps one of its multiples without equalling it is
+skipped before any refinement, and so is a candidate X for which some
+product X·P with a pinned class P is not constant on X and on every pinned
+class.  Every multiple of a candidate splits the partition before it is
+refined and is pinned at once.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from itertools import product
 from math import gcd
 from typing import Callable, Iterable, Optional
 
-from .core import SRing, _convolve, _wl_stabilize, full_sring, refines, validate
+from .core import SRing, _convolve, _wl_stabilize, refines, validate
 from .errors import (
     CosetClosureNotCoset,
     IntersectionNotAnSRing,
@@ -79,11 +79,6 @@ def _labels(n: int, classes: Iterable[Iterable[int]]) -> list[int]:
         for x in cls:
             class_of[x] = i
     return class_of
-
-
-def _stabilize_partition(n: int, classes: Iterable[frozenset[int]]) -> tuple[frozenset[int], ...]:
-    stable = _wl_stabilize(n, _labels(n, classes))
-    return tuple(frozenset(c) for c in stable)
 
 
 def _conv_constant_on(n: int, xs: frozenset[int], ys: frozenset[int], cls: frozenset[int]) -> bool:
@@ -145,28 +140,15 @@ def _enumerate_cached(n: int) -> tuple[SRing, ...]:
     """Every S-ring over Z_n, by backtracking over the class of the smallest
     element not yet in a pinned class.
 
-    Every unit multiple kX of a class X of a ring is a class of it too
-    (Schur's theorem on multipliers; Wielandt, *Finite Permutation Groups*,
-    1964, Thm 23.9), so two multiples of X are equal or disjoint.  A
-    candidate X whose multiples overlap otherwise is skipped unrefined.
-    Any other candidate splits each class by membership in each multiple of
-    X (the orbit split P_O), not only in X (the split P_X), before the
-    refinement WL to the coarsest S-ring.  Both searches accept the same
-    candidates and go on from the same partition.  P_O refines P_X, so
-    WL(P_O) refines WL(P_X).
-
-    - If X is a class of WL(P_X), so is every kX; then WL(P_X) refines P_O
-      and hence WL(P_O), and the two are equal.
-    - If X is a class of WL(P_O), it is a single class of that finer ring
-      and a union of classes of WL(P_X), which refines P_X; so X is a class
-      of WL(P_X), and the first case applies.
+    The candidates are ``_candidate_classes``.  Every unit multiple kX of a
+    class X of a ring is a class of it too (Schur's theorem on multipliers;
+    Wielandt, *Finite Permutation Groups*, 1964, Thm 23.9), so two multiples
+    of X are equal or disjoint.  A candidate X whose multiples overlap
+    otherwise is skipped unrefined.
     """
-    if n == 1:
-        return (SRing(1, [[0]], check=False),)
     unit_elems = units(n).elements
     subgroups = unit_subgroups(n)
     dclass = tuple(gcd(x, n) for x in range(n))
-    found: set[tuple[tuple[int, ...], ...]] = set()
     # (candidate, its unit multiples) for each (anchor, region) met so far,
     # the candidates whose multiples overlap already dropped
     schur: dict[tuple[int, frozenset[int]], list[tuple[frozenset[int], frozenset]]] = {}
@@ -182,10 +164,16 @@ def _enumerate_cached(n: int) -> tuple[SRing, ...]:
             schur[key] = kept
         return schur[key]
 
-    start = _stabilize_partition(n, [frozenset({0}), frozenset(range(1, n))])
-    _enumerate_rec(n, start, frozenset({frozenset({0})}), candidates, found)
-    rings = sorted(found)
-    return tuple(validate(n, cls) for cls in rings)
+    return tuple(validate(n, cls) for cls in _search(n, candidates))
+
+
+def _search(n: int, candidates: Callable) -> list[tuple[tuple[int, ...], ...]]:
+    """The sorted class tuples of every ring ``_enumerate_rec`` reaches with
+    ``candidates``, from the coarsest S-ring below {0} | Z_n∖{0}."""
+    start = tuple(frozenset(c) for c in _wl_stabilize(n, [min(x, 1) for x in range(n)]))
+    found: set[tuple[tuple[int, ...], ...]] = set()
+    _enumerate_rec(n, start, frozenset({_ZERO}), candidates, found)
+    return sorted(found)
 
 
 def _pinned_products_constant(
@@ -216,14 +204,27 @@ def _enumerate_rec(
     n: int,
     classes: tuple[frozenset[int], ...],
     pinned: frozenset[frozenset[int]],
-    candidates: Callable[[int, frozenset[int]], list],
+    candidates: Callable[[int, frozenset[int]], Iterable],
     found: set[tuple[tuple[int, ...], ...]],
 ) -> None:
     """Try each candidate class of the smallest element outside ``pinned``
     against the stable partition ``classes``, and add every ring reached to
     ``found``.
 
-    A candidate is refined only when ``_pinned_products_constant`` holds.
+    ``candidates(anchor, region)`` gives each candidate X inside ``region``
+    with its unit multiples, pairwise equal or disjoint.  X is refined only
+    when ``_pinned_products_constant`` holds.  It splits each class by
+    membership in each multiple of X (the orbit split P_O), not only in X
+    (the split P_X), before the refinement WL to the coarsest S-ring.  Both
+    splits accept the same candidates and go on from the same partition.
+    P_O refines P_X, so WL(P_O) refines WL(P_X).
+
+    - If X is a class of WL(P_X), so is every kX (Schur's theorem, see
+      ``_enumerate_cached``); then WL(P_X) refines P_O and hence WL(P_O),
+      and the two are equal.
+    - If X is a class of WL(P_O), it is a single class of that finer ring
+      and a union of classes of WL(P_X), which refines P_X; so X is a class
+      of WL(P_X), and the first case applies.
 
     A module-level function, not a closure: a closure that calls itself is
     a reference cycle, which would keep every partition of the search alive
@@ -294,40 +295,46 @@ def find_isomorphism(
 
     Searches values in increasing order, so the result is deterministic.
     """
-    a, b = phi.source, phi.target
-    n = a.n
+    n = phi.source.n
     _check_isomorphism_bound(n, max_n)
     table = [-1] * n
     table[0] = 0
     used = [False] * n
     used[0] = True
-
-    def feasible(y: int, v: int) -> bool:
-        for y2 in range(y):
-            w = table[y2]
-            if b.class_of[(v - w) % n] != phi.class_map[a.class_of[(y - y2) % n]]:
-                return False
-        return True
-
-    def search(y: int) -> bool:
-        if y == n:
-            return True
-        for v in b.classes[phi.class_map[a.class_of[y]]]:
-            if not used[v] and feasible(y, v):
-                table[y] = v
-                used[v] = True
-                if search(y + 1):
-                    return True
-                used[v] = False
-                table[y] = -1
-        return False
-
-    if not search(1):
+    if not _search_isomorphism(phi, table, used, 1):
         return None
     iso = Isomorphism(n, tuple(table))
     if not verify_isomorphism(phi, iso):  # pragma: no cover - search invariant
         raise TheoryViolation("search produced a non-isomorphism")
     return iso
+
+
+def _feasible(phi: Similarity, table: list[int], y: int, v: int) -> bool:
+    a, b = phi.source, phi.target
+    n = a.n
+    for y2 in range(y):
+        w = table[y2]
+        if b.class_of[(v - w) % n] != phi.class_map[a.class_of[(y - y2) % n]]:
+            return False
+    return True
+
+
+def _search_isomorphism(phi: Similarity, table: list[int], used: list[bool], y: int) -> bool:
+    """Fill ``table`` from ``y`` on; True when it is complete.  A
+    module-level function, not a closure, for the reason given at
+    ``_enumerate_rec``."""
+    a, b = phi.source, phi.target
+    if y == a.n:
+        return True
+    for v in b.classes[phi.class_map[a.class_of[y]]]:
+        if not used[v] and _feasible(phi, table, y, v):
+            table[y] = v
+            used[v] = True
+            if _search_isomorphism(phi, table, used, y + 1):
+                return True
+            used[v] = False
+            table[y] = -1
+    return False
 
 
 def _realized(a: SRing, max_n: int) -> tuple[list[Similarity], int]:
@@ -397,66 +404,29 @@ def _is_coset(n: int, cls: tuple[int, ...]) -> bool:
 
 
 def _coset_rings_refining(a: SRing) -> list[SRing]:
-    """All S-rings refining ``a`` whose every class is a coset."""
-    n = a.n
-    out: list[SRing] = []
-    start = _stabilize_partition(
-        a.n, [frozenset({0}), frozenset(range(1, n))] if n > 1 else [frozenset({0})]
-    )
-    if not refines(full_sring(n), a):  # pragma: no cover - trivially true
-        raise TheoryViolation("full ring does not refine the input")
-    _coset_rec(a, units(n).elements, start, frozenset({frozenset({0})}), out)
-    kept = []
-    for ring in out:
-        if refines(ring, a) and all(_is_coset(n, cls) for cls in ring.classes):
-            kept.append(ring)
-    return sorted(kept, key=lambda r: r.classes)
+    """All S-rings refining ``a`` whose every class is a coset, sorted.
 
-
-def _coset_rec(
-    a: SRing,
-    unit_elems: tuple[int, ...],
-    classes: tuple[frozenset[int], ...],
-    pinned: frozenset[frozenset[int]],
-    out: list[SRing],
-) -> None:
-    """Try each coset of the smallest element outside ``pinned`` that fits
-    the stable partition ``classes`` and ``a`` as a class, and append every
-    ring reached to ``out``.
-
-    A module-level function, not a closure, for the reason given at
-    ``_enumerate_rec``.
+    The candidates are the cosets x + H of the anchor inside its region, with
+    their unit multiples.  A unit k maps H onto itself, so k(x + H) = kx + H,
+    and two multiples are equal or disjoint with no overlap test; -1 is a
+    unit, so a coset and its negation are too.  A coset is dropped unrefined
+    when one of its multiples, itself included, meets two classes of ``a``.
+    So every class of a ring found, pinned as {0}, a singleton or such a
+    multiple, is a coset inside one class of ``a``.
     """
-    n = a.n
-    unassigned = sorted(x for cls in classes if cls not in pinned for x in cls)
-    if not unassigned:
-        out.append(SRing(n, [tuple(sorted(c)) for c in classes], check=False))
-        return
-    anchor = unassigned[0]
-    region = next(cls for cls in classes if anchor in cls)
-    host = frozenset(a.classes[a.class_of[anchor]])
-    class_of = _labels(n, classes)
-    for d in divisors(n):
-        coset = frozenset((anchor + h) % n for h in subgroup(n, d))
-        if not (coset <= region and coset <= host):
-            continue
-        neg = frozenset((-x) % n for x in coset)
-        if neg != coset and neg & coset:
-            continue
-        ids: dict[tuple[int, bool], int] = {}
-        refined_of = [ids.setdefault((c, x in coset), len(ids)) for x, c in enumerate(class_of)]
-        stable = tuple(frozenset(c) for c in _wl_stabilize(n, refined_of, class_of))
-        stable_set = set(stable)
-        if coset not in stable_set or not pinned <= stable_set:
-            continue
-        orbit = {frozenset((k * x) % n for x in coset) for k in unit_elems}
-        assert orbit <= stable_set, "unit multiple of a class must be a class"
-        if any(
-            len({a.class_of[x] for x in cls}) > 1 for cls in orbit
-        ):
-            continue  # a pinned class would straddle classes of the input
-        singletons = {cls for cls in stable if len(cls) == 1}
-        _coset_rec(a, unit_elems, stable, pinned | orbit | singletons, out)
+    n, class_of = a.n, a.class_of
+    unit_elems = units(n).elements
+
+    def candidates(anchor: int, region: frozenset[int]) -> Iterable:
+        for d in divisors(n):
+            coset = frozenset((anchor + h) % n for h in subgroup(n, d))
+            if not coset <= region:
+                continue
+            orbit = frozenset(frozenset((k * x) % n for x in coset) for k in unit_elems)
+            if all(len({class_of[x] for x in mult}) == 1 for mult in orbit):
+                yield coset, orbit
+
+    return [SRing(n, cls, check=False) for cls in _search(n, candidates)]
 
 
 def coset_closure(a: SRing, *, max_n: int = COSET_CLOSURE_BOUND) -> SRing:

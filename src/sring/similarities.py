@@ -143,7 +143,7 @@ def similarities(a: SRing, b: SRing) -> list[Similarity]:
 
     Every map the search reaches at a leaf passes ``is_similarity``, so none
     is checked again.  When the last of three classes p, q, k is assigned,
-    ``consistent`` compares the constant of X_k in X_p * X_q with its image;
+    ``_consistent`` compares the constant of X_k in X_p * X_q with its image;
     products commute, so every constant is compared by then.  Class 0 is
     assigned first (it is the only class of size 1 whose smallest element is
     0), and its image is 0: the constant of X_0 in X_0 * X_0 is 1, and of
@@ -173,47 +173,65 @@ def similarities(a: SRing, b: SRing) -> list[Similarity]:
     used = [False] * r
     done: list[tuple[int, int]] = []  # assigned (class, image), in search order
     found: list[tuple[int, ...]] = []
-
-    def consistent(i: int, j: int) -> bool:
-        """Whether i -> j keeps every constant among the assigned classes."""
-        # Inverse pairing. The constants at k = 0 below imply it, since class 0
-        # is assigned first, so this is only an early exit.
-        if image[inv_a[i]] >= 0 and image[inv_a[i]] != inv_b[j]:
-            return False
-        # old factor pairs: only the newly assigned target i -> j is unchecked
-        for pos, (p, fp) in enumerate(done):
-            pa, pb = p * r, fp * r
-            for q, fq in done[pos:]:
-                if ca[(pa + q) * r + i] != cb[(pb + fq) * r + j]:
-                    return False
-        # factor pairs with i: every assigned target, i itself included
-        ia, ib = i * r, j * r
-        for p, fp in (*done, (i, j)):
-            row_a, row_b = (ia + p) * r, (ib + fp) * r
-            if ca[row_a + i] != cb[row_b + j]:
-                return False
-            for k, fk in done:
-                if ca[row_a + k] != cb[row_b + fk]:
-                    return False
-        return True
-
-    def search(pos: int) -> None:
-        if pos == r:
-            found.append(tuple(image))
-            return
-        i = order[pos]
-        for j in candidates[i]:
-            if not used[j] and consistent(i, j):
-                image[i] = j
-                used[j] = True
-                done.append((i, j))
-                search(pos + 1)
-                done.pop()
-                used[j] = False
-                image[i] = -1
-
-    search(0)
+    _search_similarities(0, order, candidates, image, used, done, found, (ca, cb, inv_a, inv_b))
     return [Similarity(a, b, cmap) for cmap in sorted(found)]
+
+
+def _consistent(
+    i: int, j: int, image: list[int], done: list[tuple[int, int]], tables: tuple
+) -> bool:
+    """Whether i -> j keeps every constant among the assigned classes;
+    ``tables`` holds the constants and inverse classes of both rings."""
+    ca, cb, inv_a, inv_b = tables
+    r = len(image)
+    # Inverse pairing. The constants at k = 0 below imply it, since class 0
+    # is assigned first, so this is only an early exit.
+    if image[inv_a[i]] >= 0 and image[inv_a[i]] != inv_b[j]:
+        return False
+    # old factor pairs: only the newly assigned target i -> j is unchecked
+    for pos, (p, fp) in enumerate(done):
+        pa, pb = p * r, fp * r
+        for q, fq in done[pos:]:
+            if ca[(pa + q) * r + i] != cb[(pb + fq) * r + j]:
+                return False
+    # factor pairs with i: every assigned target, i itself included
+    ia, ib = i * r, j * r
+    for p, fp in (*done, (i, j)):
+        row_a, row_b = (ia + p) * r, (ib + fp) * r
+        if ca[row_a + i] != cb[row_b + j]:
+            return False
+        for k, fk in done:
+            if ca[row_a + k] != cb[row_b + fk]:
+                return False
+    return True
+
+
+def _search_similarities(
+    pos: int,
+    order: list[int],
+    candidates: list[list[int]],
+    image: list[int],
+    used: list[bool],
+    done: list[tuple[int, int]],
+    found: list[tuple[int, ...]],
+    tables: tuple,
+) -> None:
+    """Assign the classes from ``order[pos]`` on, and append every complete
+    class map to ``found``.  A module-level function, not a closure: a
+    closure that calls itself is a reference cycle."""
+    if pos == len(order):
+        found.append(tuple(image))
+        return
+    i = order[pos]
+    for j in candidates[i]:
+        if not used[j] and _consistent(i, j, image, done, tables):
+            image[i] = j
+            used[j] = True
+            done.append((i, j))
+            _search_similarities(pos + 1, order, candidates, image, used, done, found, tables)
+            done.pop()
+            used[j] = False
+            image[i] = -1
 
 
 @_per_ring

@@ -332,15 +332,17 @@ def test_nonseparable_rings_exist_is_not_assumed():
 
 
 def test_backtrackers_are_freed_without_the_cycle_collector():
-    # the enumerator and the coset-ring search hold no reference cycle, so
-    # the partitions they try are freed at once rather than at the next run
-    # of the cyclic garbage collector
+    # the enumerator, the coset-ring search, the similarity search and the
+    # isomorphism search hold no reference cycle, so what they try is freed
+    # at once rather than at the next run of the cyclic garbage collector
     a = cyclotomic_sring(12, [-1])
     gc.collect()
     gc.disable()
     try:
         sring.oracle._enumerate_cached.__wrapped__(12)
         sring.oracle._coset_rings_refining(a)
+        for phi in similarities(a, a):
+            find_isomorphism(phi)
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -35,7 +35,10 @@ final ``is_similarity`` filter; and of the round loop of
 ``core._wl_stabilize``, which ran one full ``_split`` round after another
 until a round split nothing; and of ``core._class_stabilizer``, which tried
 every unit in the class of 1 against every residue, and of
-``oracle._enumerate_rec``, which refined every candidate class.  They are
+``oracle._enumerate_rec``, which refined every candidate class; and of
+``oracle._coset_rings_refining``, which ran a backtracker of its own,
+``_coset_rec``, that split by each coset alone and filtered the rings it
+reached afterwards, with ``_stabilize_partition`` for its start.  They are
 kept here as test oracles only.
 """
 
@@ -88,6 +91,7 @@ from sring import (
     radical,
     rank2_sring,
     reduce_to_quasidense,
+    refines,
     restrict_similarity,
     restrict_to,
     similarities,
@@ -102,10 +106,11 @@ from sring.errors import NotInverseClosed, NotMultiplicativelyClosed
 from sring.modarith import divisors, subgroup, unit_mod, unit_subgroups, units
 from sring.multipliers import Multiplier, _is_subsection
 from sring.oracle import (
+    COSET_CLOSURE_BOUND,
     _candidate_classes,
+    _is_coset,
     _labels,
     _pinned_products_constant,
-    _stabilize_partition,
     enumerate_srings,
 )
 from sring.sections import _class_sections, _proj_key
@@ -573,7 +578,7 @@ def test_enumerator_refinements_match_rounds(monkeypatch):
         sring.oracle,
         lambda: [sring.oracle._enumerate_cached.__wrapped__(n) for n in range(1, 25)],
     )
-    assert _assert_refinements_match_rounds(calls) == len(calls) - 23 > 0
+    assert _assert_refinements_match_rounds(calls) == len(calls) - 24 > 0
 
 
 def test_coset_ring_refinements_match_rounds(monkeypatch):
@@ -1207,6 +1212,78 @@ def test_inducing_unit_matches_search_over_all_units():
                     assert got == _inducing_unit_over_all_units(a_s, psi), (a_s, psi)
                     outcomes.add(got == 1)
     assert outcomes == {True, False}
+
+
+def _stabilize_partition(n: int, classes) -> tuple[frozenset[int], ...]:
+    stable = _wl_stabilize(n, _labels(n, classes))
+    return tuple(frozenset(c) for c in stable)
+
+
+def _coset_rings_by_own_backtracker(a: SRing) -> list[SRing]:
+    """All S-rings refining ``a`` whose every class is a coset."""
+    n = a.n
+    out: list[SRing] = []
+    start = _stabilize_partition(
+        a.n, [frozenset({0}), frozenset(range(1, n))] if n > 1 else [frozenset({0})]
+    )
+    if not refines(full_sring(n), a):  # pragma: no cover - trivially true
+        raise TheoryViolation("full ring does not refine the input")
+    _coset_rec(a, units(n).elements, start, frozenset({frozenset({0})}), out)
+    kept = []
+    for ring in out:
+        if refines(ring, a) and all(_is_coset(n, cls) for cls in ring.classes):
+            kept.append(ring)
+    return sorted(kept, key=lambda r: r.classes)
+
+
+def _coset_rec(a, unit_elems, classes, pinned, out) -> None:
+    """Try each coset of the smallest element outside ``pinned`` that fits
+    the stable partition ``classes`` and ``a`` as a class, and append every
+    ring reached to ``out``."""
+    n = a.n
+    unassigned = sorted(x for cls in classes if cls not in pinned for x in cls)
+    if not unassigned:
+        out.append(SRing(n, [tuple(sorted(c)) for c in classes], check=False))
+        return
+    anchor = unassigned[0]
+    region = next(cls for cls in classes if anchor in cls)
+    host = frozenset(a.classes[a.class_of[anchor]])
+    class_of = _labels(n, classes)
+    for d in divisors(n):
+        coset = frozenset((anchor + h) % n for h in subgroup(n, d))
+        if not (coset <= region and coset <= host):
+            continue
+        neg = frozenset((-x) % n for x in coset)
+        if neg != coset and neg & coset:
+            continue
+        ids: dict[tuple[int, bool], int] = {}
+        refined_of = [ids.setdefault((c, x in coset), len(ids)) for x, c in enumerate(class_of)]
+        stable = tuple(frozenset(c) for c in _wl_stabilize(n, refined_of, class_of))
+        stable_set = set(stable)
+        if coset not in stable_set or not pinned <= stable_set:
+            continue
+        orbit = {frozenset((k * x) % n for x in coset) for k in unit_elems}
+        assert orbit <= stable_set, "unit multiple of a class must be a class"
+        if any(len({a.class_of[x] for x in cls}) > 1 for cls in orbit):
+            continue  # a pinned class would straddle classes of the input
+        singletons = {cls for cls in stable if len(cls) == 1}
+        _coset_rec(a, unit_elems, stable, pinned | orbit | singletons, out)
+
+
+def test_coset_rings_match_own_backtracker():
+    # the same rings in the same order for every ring with n <= 16; with the
+    # old search's final filter gone, each must refine its input and have
+    # only coset classes by construction
+    count = 0
+    for n in range(1, COSET_CLOSURE_BOUND + 1):
+        for a in enumerate_srings(n):
+            got = sring.oracle._coset_rings_refining(a)
+            assert got == _coset_rings_by_own_backtracker(a), a
+            for ring in got:
+                assert refines(ring, a), (a, ring)
+                assert all(_is_coset(n, cls) for cls in ring.classes), (a, ring)
+            count += len(got)
+    assert count > 0
 
 
 def _enumerate_refining_by_candidate(n: int) -> list[tuple[tuple[int, ...], ...]]:
