@@ -22,7 +22,7 @@ from itertools import product
 from math import gcd
 from typing import Callable, Iterable, Optional
 
-from .core import SRing, _convolve, _wl_stabilize, refines, validate
+from .core import SRing, _convolve, _per_ring, _wl_stabilize, refines, validate
 from .errors import (
     CosetClosureNotCoset,
     IntersectionNotAnSRing,
@@ -341,8 +341,17 @@ def _realized(a: SRing, max_n: int) -> tuple[list[Similarity], int]:
     """The similarities of ``a`` induced by a bijection, and how many there are in all."""
     # before the similarity search, which alone can take minutes past the bound
     _check_isomorphism_bound(a.n, max_n)
+    maps, total = _realized_maps(a)
+    return [Similarity(a, a, cmap) for cmap in maps], total
+
+
+@_per_ring
+def _realized_maps(a: SRing) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The class maps of ``_realized(a, max_n)`` and its count, kept on the
+    ring.  They do not depend on ``max_n`` once ``a.n`` is within it, so the
+    bound is checked before the lookup, by ``_realized``, and is no key."""
     sims = similarities(a, a)
-    realized = [phi for phi in sims if find_isomorphism(phi, max_n=max_n) is not None]
+    realized = [phi for phi in sims if find_isomorphism(phi, max_n=a.n) is not None]
     by_map = {phi.class_map for phi in realized}
     for phi in realized:
         if phi.inverse().class_map not in by_map:  # pragma: no cover - theory
@@ -350,7 +359,7 @@ def _realized(a: SRing, max_n: int) -> tuple[list[Similarity], int]:
         for psi in realized:
             if phi.then(psi).class_map not in by_map:  # pragma: no cover - theory
                 raise TheoryViolation("realized similarities are not composition-closed")
-    return realized, len(sims)
+    return tuple(phi.class_map for phi in realized), len(sims)
 
 
 def phi_infty(a: SRing, *, max_n: int = ISOMORPHISM_BOUND) -> list[Similarity]:

@@ -141,6 +141,24 @@ def _class_fingerprints(a: SRing) -> list[tuple]:
 def similarities(a: SRing, b: SRing) -> list[Similarity]:
     """All similarities from ``a`` to ``b``, sorted by class map.
 
+    The search is ``_similarity_maps``.  The class maps of a ring to itself
+    are kept on the ring (``_self_maps``); each call returns new
+    ``Similarity`` objects.
+    """
+    maps = _self_maps(a) if a == b else _similarity_maps(a, b)
+    return [Similarity(a, b, cmap) for cmap in maps]
+
+
+@_per_ring
+def _self_maps(a: SRing) -> tuple[tuple[int, ...], ...]:
+    """The sorted class maps of the similarities of ``a`` to itself: class
+    maps only, so the memo on ``a`` refers to no ring."""
+    return _similarity_maps(a, a)
+
+
+def _similarity_maps(a: SRing, b: SRing) -> tuple[tuple[int, ...], ...]:
+    """The class maps of all similarities from ``a`` to ``b``, sorted.
+
     Every map the search reaches at a leaf passes ``is_similarity``, so none
     is checked again.  When the last of three classes p, q, k is assigned,
     ``_consistent`` compares the constant of X_k in X_p * X_q with its image;
@@ -154,9 +172,9 @@ def similarities(a: SRing, b: SRing) -> list[Similarity]:
     of the r classes.
     """
     if a.n != b.n or a.rank != b.rank:
-        return []
+        return ()
     if sorted(map(len, a.classes)) != sorted(map(len, b.classes)):
-        return []
+        return ()
     r = a.rank
     fp_a = _class_fingerprints(a)
     fp_b = _class_fingerprints(b)
@@ -164,7 +182,7 @@ def similarities(a: SRing, b: SRing) -> list[Similarity]:
         [j for j in range(r) if fp_b[j] == fp_a[i]] for i in range(r)
     ]
     if any(not c for c in candidates):
-        return []
+        return ()
     ca, cb = _constants(a), _constants(b)
     inv_a = [a.inverse_class(i) for i in range(r)]
     inv_b = [b.inverse_class(j) for j in range(r)]
@@ -174,7 +192,7 @@ def similarities(a: SRing, b: SRing) -> list[Similarity]:
     done: list[tuple[int, int]] = []  # assigned (class, image), in search order
     found: list[tuple[int, ...]] = []
     _search_similarities(0, order, candidates, image, used, done, found, (ca, cb, inv_a, inv_b))
-    return [Similarity(a, b, cmap) for cmap in sorted(found)]
+    return tuple(sorted(found))
 
 
 def _consistent(
@@ -347,22 +365,36 @@ def fs_of(a: SRing, phi: Similarity) -> Multiplier:
     map, so the smallest inducing unit is the smallest of its coset, and
     ``frs0`` lists the sections in order: the entries are already canonical.
     Each restriction is read as ``restrict_similarity`` reads it, without
-    building the restricted ``Similarity``.
+    building the restricted ``Similarity``.  The units are kept on the ring
+    per class map (``_fs_units``); each call returns a new ``Multiplier``.
     """
     if not is_quasidense(a):
         raise ValueError("outer multiplier extraction requires a quasidense ring")
     if phi.source != a or phi.target != a:
         raise ValueError("similarity does not act on the given ring")
-    entries = []
-    for s, section_class, rank, maps, stab in zip(frs0(a), *_extraction(a)):
-        k = maps.get(_restricted_map(s, section_class, section_class, phi.class_map, rank))
+    return _outer_family(a, _fs_units(a, phi.class_map))
+
+
+def _outer_family(a: SRing, ks: tuple[int, ...]) -> Multiplier:
+    """The family with unit ``ks[i]`` at the i-th section of ``frs0(a)``."""
+    return Multiplier._canonical(tuple(zip(frs0(a), _extraction(a)[3], ks)))
+
+
+@_per_ring
+def _fs_units(a: SRing, class_map: tuple[int, ...]) -> tuple[int, ...]:
+    """The smallest unit inducing the class map on each section of
+    ``frs0(a)``, checked to form an outer multiplier."""
+    ks = []
+    for s, section_class, rank, maps in zip(frs0(a), *_extraction(a)[:3]):
+        k = maps.get(_restricted_map(s, section_class, section_class, class_map, rank))
         if k is None:
             raise NoInducingUnit(f"restriction to {s} is not induced by any unit")
-        entries.append((s, stab, k))
-    om = Multiplier._canonical(tuple(entries))
-    if not is_valid_outer_multiplier(a, om):  # pragma: no cover - theory
-        raise TheoryViolation(f"extracted family of {phi} is not an outer multiplier")
-    return om
+        ks.append(k)
+    if not is_valid_outer_multiplier(a, _outer_family(a, tuple(ks))):  # pragma: no cover - theory
+        raise TheoryViolation(
+            f"extracted family of the class map {class_map} is not an outer multiplier"
+        )
+    return tuple(ks)
 
 
 @_per_ring
@@ -406,15 +438,25 @@ def similarity_from_outer(a: SRing, om: Multiplier) -> Similarity:
     restricted class with a single class of ``a`` over it.  The unit a
     family chooses is the smallest of its stabilizer coset, and the units of
     one coset induce one class map, which is read from the table; any other
-    k is tested on the sets.
+    k is tested on the sets.  The class map is kept on the ring per unit
+    vector (``_outer_map``); each call returns a new ``Similarity``.
     """
     if not is_quasidense(a):
         raise ValueError("reconstruction requires a quasidense ring")
-    if set(om.sections) != set(frs0(a)):
+    secs = frs0(a)
+    if len(om.entries) != len(secs) or set(om.sections) != set(secs):
         raise ValueError("outer multiplier is not defined over this ring's sections")
+    return Similarity(a, a, _outer_map(a, om.canonical_vector()))
+
+
+@_per_ring
+def _outer_map(a: SRing, ks: tuple[int, ...]) -> tuple[int, ...]:
+    """The class map of the similarity with unit ``ks[i]`` at the i-th
+    section of ``frs0(a)``, checked to be a similarity."""
+    unit_for = dict(zip(frs0(a), ks))
     cmap = []
     for cls, p, src, over, maps_by_unit in zip(a.classes, _class_sections(a), *_reassembly(a)):
-        k = om.unit_for(p)
+        k = unit_for[p]
         images = maps_by_unit.get(k)
         dst = images[src] if images is not None else _set_image(restrict_to(a, p), src, k)
         j = over[dst] if dst >= 0 else -1
@@ -423,7 +465,6 @@ def similarity_from_outer(a: SRing, om: Multiplier) -> Similarity:
                 f"image of {list(cls)} under unit {k} on {p} is not a class"
             )
         cmap.append(j)
-    phi = Similarity(a, a, tuple(cmap))
-    if not is_similarity(a, a, phi.class_map):
+    if not is_similarity(a, a, tuple(cmap)):
         raise ReconstructionFailed("classwise images do not form a similarity")
-    return phi
+    return tuple(cmap)

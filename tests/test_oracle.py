@@ -17,6 +17,7 @@ from sring import (
     dual_sring,
     enumerate_srings,
     find_isomorphism,
+    fmult_group,
     fs_of,
     full_sring,
     intersect,
@@ -27,6 +28,7 @@ from sring import (
     rank2_sring,
     refines,
     similarities,
+    similarity_from_outer,
     tensor,
     validate,
     verify_isomorphism,
@@ -313,10 +315,40 @@ def test_bruteforce_verdict_runs_one_similarity_search(monkeypatch):
         return similarities(a, b)
 
     monkeypatch.setattr(sring.oracle, "similarities", counted)
+    # fresh copies: earlier tests may have filled the memo of the enumerated rings
     for a in enumerate_srings(8):
         calls.clear()
-        is_separable_bruteforce(a)
+        is_separable_bruteforce(SRing(a.n, a.classes, check=False))
         assert calls == [8]
+
+
+def test_bruteforce_verdict_is_kept_on_the_ring(monkeypatch):
+    # a second verdict or phi_infty on the same ring runs no similarity
+    # search: the realized class maps are kept on the ring
+    calls = []
+
+    def counted(a, b):
+        calls.append(a.n)
+        return similarities(a, b)
+
+    monkeypatch.setattr(sring.oracle, "similarities", counted)
+    for a in enumerate_srings(8):
+        a = SRing(a.n, a.classes, check=False)
+        verdict, realized = is_separable_bruteforce(a), phi_infty(a)
+        calls.clear()
+        assert is_separable_bruteforce(a) == verdict
+        assert phi_infty(a) == realized
+        assert calls == []
+
+
+def test_oracle_bound_is_checked_before_the_memo():
+    # a filled memo answers only calls within the bound
+    for a in (full_sring(12), cyclotomic_sring(16, [-1])):
+        phi_infty(a)
+        with pytest.raises(LimitExceeded):
+            phi_infty(a, max_n=a.n - 1)
+        with pytest.raises(LimitExceeded):
+            is_separable_bruteforce(a, max_n=a.n - 1)
 
 
 def test_nonseparable_rings_exist_is_not_assumed():
@@ -343,6 +375,28 @@ def test_backtrackers_are_freed_without_the_cycle_collector():
         sring.oracle._coset_rings_refining(a)
         for phi in similarities(a, a):
             find_isomorphism(phi)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_similarity_memos_hold_no_reference_cycle():
+    # the per-ring memos of similarities, phi_infty, fs_of and
+    # similarity_from_outer keep class maps and unit vectors only, never a
+    # Similarity or a ring, so a ring and all it computed are freed at once
+    a = SRing(12, cyclotomic_sring(12, [-1]).classes, check=False)
+    assert is_quasidense(a)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(2):  # the second round reads the memos
+            realized = phi_infty(a)
+            for phi in similarities(a, a):
+                assert similarity_from_outer(a, fs_of(a, phi)) == phi
+            for om in fmult_group(a):
+                assert fs_of(a, similarity_from_outer(a, om)) == om
+        assert len(realized) == len(similarities(a, a))
+        del a, realized, phi, om
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -40,6 +40,11 @@ every unit in the class of 1 against every residue, and of
 ``_coset_rec``, that split by each coset alone and filtered the rings it
 reached afterwards, with ``_stabilize_partition`` for its start.  They are
 kept here as test oracles only.
+
+The per-ring memos of ``similarities`` of a ring to itself, of
+``oracle._realized``, of ``fs_of`` and of ``similarity_from_outer`` are
+checked against their own uncached bodies (``__wrapped__``) on fresh copies
+of the rings, in ``test_similarity_memos_match_the_uncached_functions``.
 """
 
 from __future__ import annotations
@@ -111,10 +116,13 @@ from sring.oracle import (
     _is_coset,
     _labels,
     _pinned_products_constant,
+    _realized_maps,
     enumerate_srings,
+    is_separable_bruteforce,
+    phi_infty,
 )
 from sring.sections import _class_sections, _proj_key
-from sring.similarities import Similarity, _constants
+from sring.similarities import Similarity, _constants, _fs_units, _outer_map, _self_maps
 
 
 def _radical_by_scan(n: int, xs) -> int:
@@ -1631,3 +1639,62 @@ def test_similarity_search_body_on_distinct_rings(monkeypatch):
         assert all(is_similarity(a, b, phi.class_map) for phi in got), (a, b)
         searched += a != b and sorted(map(len, a.classes)) == sorted(map(len, b.classes))
     assert searched == 26
+
+
+def _fresh(a: SRing) -> SRing:
+    """A copy of ``a`` with nothing kept on it."""
+    return SRing(a.n, a.classes, check=False)
+
+
+_SIMILARITY_MEMOS = (
+    "sring.similarities._self_maps",
+    "sring.oracle._realized_maps",
+    "sring.similarities._fs_units",
+    "sring.similarities._outer_map",
+)
+
+
+def _ints_only(value) -> bool:
+    return isinstance(value, int) or (
+        isinstance(value, tuple) and all(map(_ints_only, value))
+    )
+
+
+def test_similarity_memos_match_the_uncached_functions():
+    # Each memo, warm, against its uncached body on a fresh copy: the
+    # self-similarities and the oracle's verdict for n <= 16, and both round
+    # trips on every quasidense ring with n <= 24.  The memos keep integer
+    # tuples only, and every call returns new objects.
+    checked = 0
+    for n in range(1, 25):
+        for a in enumerate_srings(n):
+            fresh = _fresh(a)
+            if n <= 16:
+                similarities(a, a)
+                sims = similarities(a, a)
+                assert sims is not similarities(a, a)
+                want = _self_maps.__wrapped__(fresh)
+                assert [phi.class_map for phi in sims] == list(want), a
+                sims.clear()  # the memo does not hand out its own value
+                assert [phi.class_map for phi in similarities(a, a)] == list(want), a
+                maps, total = _realized_maps.__wrapped__(fresh)
+                phi_infty(a)
+                assert [phi.class_map for phi in phi_infty(a)] == list(maps), a
+                assert is_separable_bruteforce(a) == (len(maps) == total), a
+            if not is_quasidense(a):
+                continue
+            checked += 1
+            for phi in similarities(a, a):
+                fs_of(a, phi)
+                om = fs_of(a, phi)
+                assert om.canonical_vector() == _fs_units.__wrapped__(fresh, phi.class_map), a
+                assert om.entries == _fs_of_by_restriction(a, phi).entries, a
+                similarity_from_outer(a, om)
+                back = similarity_from_outer(a, om)
+                assert back.class_map == _outer_map.__wrapped__(fresh, om.canonical_vector())
+                assert back.class_map == phi.class_map, a
+            for om in fmult_group(a):
+                assert fs_of(a, similarity_from_outer(a, om)) == om, a
+            for name in _SIMILARITY_MEMOS:
+                assert all(map(_ints_only, a._cache.get(name, {}).values())), (a, name)
+    assert checked == 388  # the quasidense rings the phi-iso suite counts

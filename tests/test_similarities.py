@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from sring import (
+    Multiplier,
     NoInducingUnit,
     Section,
     Similarity,
@@ -147,3 +148,14 @@ def test_similarity_from_outer_rejects_wrong_sections(cyc5, units8):
     om = fs_of(units8, identity_similarity(units8))
     with pytest.raises(ValueError):
         similarity_from_outer(cyc5, om)
+
+
+def test_similarity_from_outer_rejects_a_repeated_section(units8):
+    # every section of frs0 appears, but one of them twice: the family is
+    # not one unit per section, so it is refused rather than read in part
+    om = fs_of(units8, identity_similarity(units8))
+    s, stab, k = om.entries[-1]
+    twice = Multiplier(om.entries + ((s, stab, k),))
+    assert set(twice.sections) == set(frs0(units8))
+    with pytest.raises(ValueError, match="not defined over this ring's sections"):
+        similarity_from_outer(units8, twice)
