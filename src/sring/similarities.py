@@ -141,8 +141,10 @@ def _class_fingerprints(a: SRing) -> list[tuple]:
 def similarities(a: SRing, b: SRing) -> list[Similarity]:
     """All similarities from ``a`` to ``b``, sorted by class map.
 
-    The search is ``_similarity_maps``.  The class maps of a ring to itself
-    are kept on the ring (``_self_maps``); each call returns new
+    The similarities of ``a`` to itself form a group, found by
+    ``_self_maps`` and kept on the ring as class maps.  Those to another
+    ring are the maps of that group, each followed by one similarity found
+    by a search (``_similarity_maps``).  Each call returns new
     ``Similarity`` objects.
     """
     maps = _self_maps(a) if a == b else _similarity_maps(a, b)
@@ -151,48 +153,114 @@ def similarities(a: SRing, b: SRing) -> list[Similarity]:
 
 @_per_ring
 def _self_maps(a: SRing) -> tuple[tuple[int, ...], ...]:
-    """The sorted class maps of the similarities of ``a`` to itself: class
-    maps only, so the memo on ``a`` refers to no ring."""
-    return _similarity_maps(a, a)
+    """The sorted class maps of the similarities of ``a`` to itself.
+
+    They form a group G under composition, and every one fixes class 0 (see
+    ``_first_map``).  Write b_0, b_1, ... for the search order, with b_0 =
+    0, and G_l for the maps in G that fix b_0, ..., b_{l-1}; G_0 = G and
+    G_r = {identity}.  The levels are walked from l = r - 1 down to 0.  At
+    level l, every candidate j of b_l outside the orbit of b_l under the
+    generators found so far is tried: the first map of G_l with
+    b_l -> j, if there is one, becomes a generator.  After level l the
+    generators generate G_l.  By induction they generate a group H with
+    G_{l+1} <= H <= G_l, since each generator fixes b_0, ..., b_{l-1}.  The
+    orbit of b_l under G_l lies among its candidates, as fingerprints are
+    kept, and H reaches every point of it: each point was in the orbit
+    already, or was tried and found.  The stabilizer of b_l in H lies
+    between G_{l+1} and the stabilizer of b_l in G_l, which is G_{l+1}.  So
+    |H| = |orbit| * |G_{l+1}| = |G_l| by orbit-stabilizer, and H = G_l.
+    The result is the closure of the generators, G_0 = G: each level runs
+    at most one successful search per point of an orbit, where a search of
+    every leaf would reach each element of G.  Class maps only, so the memo
+    on ``a`` refers to no ring.
+    """
+    r = a.rank
+    order, candidates, tables = _search_setup(a, a)
+    # every class pinned to itself; each level frees one more
+    image, used = list(range(r)), [True] * r
+    done = [(i, i) for i in order]
+    gens: list[tuple[int, ...]] = []
+    for pos in reversed(range(r)):
+        b = order[pos]
+        done.pop()
+        image[b], used[b] = -1, False
+        orbit = _orbit(b, gens)
+        for j in candidates[b]:
+            if j in orbit or used[j] or not _consistent(b, j, image, done, tables):
+                continue
+            image[b], used[j] = j, True
+            done.append((b, j))
+            leaf = _first_map(pos + 1, order, candidates, image, used, done, tables)
+            done.pop()
+            image[b], used[j] = -1, False
+            if leaf is not None:
+                gens.append(leaf)
+                orbit = _orbit(b, gens)
+    return _closure(gens, r)
+
+
+def _orbit(x: int, gens: list[tuple[int, ...]]) -> set[int]:
+    """The orbit of the class ``x`` under the group the class maps generate."""
+    orbit, frontier = {x}, [x]
+    for y in frontier:
+        for g in gens:
+            if g[y] not in orbit:
+                orbit.add(g[y])
+                frontier.append(g[y])
+    return orbit
+
+
+def _closure(gens: list[tuple[int, ...]], r: int) -> tuple[tuple[int, ...], ...]:
+    """The group of class maps on r classes that ``gens`` generate, sorted.
+
+    Every product of generators is reached from the identity one generator
+    at a time; in a finite group the inverses are among them.
+    """
+    identity = tuple(range(r))
+    group, frontier = {identity}, [identity]
+    for g in frontier:
+        for s in gens:
+            h = tuple(map(s.__getitem__, g))  # g, then s
+            if h not in group:
+                group.add(h)
+                frontier.append(h)
+    return tuple(sorted(group))
 
 
 def _similarity_maps(a: SRing, b: SRing) -> tuple[tuple[int, ...], ...]:
     """The class maps of all similarities from ``a`` to ``b``, sorted.
 
-    Every map the search reaches at a leaf passes ``is_similarity``, so none
-    is checked again.  When the last of three classes p, q, k is assigned,
-    ``_consistent`` compares the constant of X_k in X_p * X_q with its image;
-    products commute, so every constant is compared by then.  Class 0 is
-    assigned first (it is the only class of size 1 whose smallest element is
-    0), and its image is 0: the constant of X_0 in X_0 * X_0 is 1, and of
-    the classes of size 1, {0} and possibly {n/2}, only {0} has it.  The
-    constant of X_0 in X_i * X_p is |X_i| when p is the inverse of i and 0
-    otherwise, so equal constants at k = 0 give equal class sizes and keep
-    inverse pairs.  The map is injective by ``used``, so it is a bijection
-    of the r classes.
+    When phi_0 is one of them, every one, phi, is the similarity
+    phi_0^-1 phi of ``a`` to itself followed by phi_0.  So they are the
+    maps of ``_self_maps(a)``, each followed by phi_0, all distinct.  One
+    search for phi_0 runs, even when ``b`` equals ``a``.
     """
     if a.n != b.n or a.rank != b.rank:
         return ()
     if sorted(map(len, a.classes)) != sorted(map(len, b.classes)):
         return ()
-    r = a.rank
-    fp_a = _class_fingerprints(a)
-    fp_b = _class_fingerprints(b)
-    candidates = [
-        [j for j in range(r) if fp_b[j] == fp_a[i]] for i in range(r)
-    ]
+    order, candidates, tables = _search_setup(a, b)
     if any(not c for c in candidates):
         return ()
-    ca, cb = _constants(a), _constants(b)
-    inv_a = [a.inverse_class(i) for i in range(r)]
-    inv_b = [b.inverse_class(j) for j in range(r)]
+    r = a.rank
+    phi0 = _first_map(0, order, candidates, [-1] * r, [False] * r, [], tables)
+    if phi0 is None:
+        return ()
+    return tuple(sorted(tuple(map(phi0.__getitem__, g)) for g in _self_maps(a)))
+
+
+def _search_setup(a: SRing, b: SRing) -> tuple[list[int], list[list[int]], tuple]:
+    """The search order of the classes of ``a``, the classes of ``b`` with
+    the fingerprint of each, and the tables ``_consistent`` reads: the
+    constants and the inverse classes of both rings."""
+    r = a.rank
+    fp_a = _class_fingerprints(a)
+    fp_b = fp_a if b is a else _class_fingerprints(b)
+    candidates = [[j for j in range(r) if fp_b[j] == fp_a[i]] for i in range(r)]
     order = sorted(range(r), key=lambda i: (len(a.classes[i]), a.classes[i][0]))
-    image = [-1] * r
-    used = [False] * r
-    done: list[tuple[int, int]] = []  # assigned (class, image), in search order
-    found: list[tuple[int, ...]] = []
-    _search_similarities(0, order, candidates, image, used, done, found, (ca, cb, inv_a, inv_b))
-    return tuple(sorted(found))
+    inv_a = [a.inverse_class(i) for i in range(r)]
+    inv_b = inv_a if b is a else [b.inverse_class(j) for j in range(r)]
+    return order, candidates, (_constants(a), _constants(b), inv_a, inv_b)
 
 
 def _consistent(
@@ -224,32 +292,44 @@ def _consistent(
     return True
 
 
-def _search_similarities(
+def _first_map(
     pos: int,
     order: list[int],
     candidates: list[list[int]],
     image: list[int],
     used: list[bool],
     done: list[tuple[int, int]],
-    found: list[tuple[int, ...]],
     tables: tuple,
-) -> None:
-    """Assign the classes from ``order[pos]`` on, and append every complete
-    class map to ``found``.  A module-level function, not a closure: a
-    closure that calls itself is a reference cycle."""
+) -> Optional[tuple[int, ...]]:
+    """The first complete class map, in search order, that extends the
+    classes assigned in ``done`` by assigning ``order[pos:]``, or None.
+
+    Every map the search reaches at a leaf is a similarity.  When the last
+    of three classes p, q, k is assigned, ``_consistent`` compares the
+    constant of X_k in X_p * X_q with its image; products commute, so every
+    constant is compared by then.  Class 0 is assigned first (it is the
+    only class of size 1 whose smallest element is 0), and its image is 0:
+    the constant of X_0 in X_0 * X_0 is 1, and of the classes of size 1,
+    {0} and possibly {n/2}, only {0} has it.  The constant of X_0 in
+    X_i * X_p is |X_i| when p is the inverse of i and 0 otherwise, so equal
+    constants at k = 0 give equal class sizes and keep inverse pairs.  The
+    map is injective by ``used``, so it is a bijection of the r classes.
+    A module-level function, not a closure: a closure that calls itself is
+    a reference cycle.
+    """
     if pos == len(order):
-        found.append(tuple(image))
-        return
+        return tuple(image)
     i = order[pos]
     for j in candidates[i]:
         if not used[j] and _consistent(i, j, image, done, tables):
-            image[i] = j
-            used[j] = True
+            image[i], used[j] = j, True
             done.append((i, j))
-            _search_similarities(pos + 1, order, candidates, image, used, done, found, tables)
+            leaf = _first_map(pos + 1, order, candidates, image, used, done, tables)
             done.pop()
-            used[j] = False
-            image[i] = -1
+            image[i], used[j] = -1, False
+            if leaf is not None:
+                return leaf
+    return None
 
 
 @_per_ring
@@ -317,6 +397,8 @@ def from_unit(a_s: SRing, k: int) -> Optional[Similarity]:
 
 def inducing_unit(a_s: SRing, psi: Similarity) -> Optional[int]:
     """The smallest unit k with X -> k*X equal to ``psi``, if one exists."""
+    if psi.source != a_s or psi.target != a_s:
+        raise ValueError("similarity does not act on the given ring")
     return _unit_maps(a_s)[0].get(psi.class_map)
 
 

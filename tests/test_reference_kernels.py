@@ -38,8 +38,10 @@ every unit in the class of 1 against every residue, and of
 ``oracle._enumerate_rec``, which refined every candidate class; and of
 ``oracle._coset_rings_refining``, which ran a backtracker of its own,
 ``_coset_rec``, that split by each coset alone and filtered the rings it
-reached afterwards, with ``_stabilize_partition`` for its start.  They are
-kept here as test oracles only.
+reached afterwards, with ``_stabilize_partition`` for its start; and of
+``similarities._similarity_maps`` with ``_search_similarities``, which
+walked every leaf of the search for the similarities of a ring to itself
+and to another ring.  They are kept here as test oracles only.
 
 The per-ring memos of ``similarities`` of a ring to itself, of
 ``oracle._realized``, of ``fs_of`` and of ``similarity_from_outer`` are
@@ -122,7 +124,16 @@ from sring.oracle import (
     phi_infty,
 )
 from sring.sections import _class_sections, _proj_key
-from sring.similarities import Similarity, _constants, _fs_units, _outer_map, _self_maps
+from sring.similarities import (
+    Similarity,
+    _class_fingerprints,
+    _consistent,
+    _constants,
+    _fs_units,
+    _outer_map,
+    _self_maps,
+    _similarity_maps,
+)
 
 
 def _radical_by_scan(n: int, xs) -> int:
@@ -1644,6 +1655,63 @@ def test_similarity_search_body_on_distinct_rings(monkeypatch):
 def _fresh(a: SRing) -> SRing:
     """A copy of ``a`` with nothing kept on it."""
     return SRing(a.n, a.classes, check=False)
+
+
+def _similarity_maps_by_every_leaf(a: SRing, b: SRing) -> tuple[tuple[int, ...], ...]:
+    """The search as it was: every leaf of the backtracker, for a == b too."""
+    if a.n != b.n or a.rank != b.rank:
+        return ()
+    if sorted(map(len, a.classes)) != sorted(map(len, b.classes)):
+        return ()
+    r = a.rank
+    fp_a = _class_fingerprints(a)
+    fp_b = _class_fingerprints(b)
+    candidates = [[j for j in range(r) if fp_b[j] == fp_a[i]] for i in range(r)]
+    if any(not c for c in candidates):
+        return ()
+    ca, cb = _constants(a), _constants(b)
+    inv_a = [a.inverse_class(i) for i in range(r)]
+    inv_b = [b.inverse_class(j) for j in range(r)]
+    order = sorted(range(r), key=lambda i: (len(a.classes[i]), a.classes[i][0]))
+    image = [-1] * r
+    used = [False] * r
+    done: list[tuple[int, int]] = []
+    found: list[tuple[int, ...]] = []
+    _search_similarities(0, order, candidates, image, used, done, found, (ca, cb, inv_a, inv_b))
+    return tuple(sorted(found))
+
+
+def _search_similarities(pos, order, candidates, image, used, done, found, tables) -> None:
+    if pos == len(order):
+        found.append(tuple(image))
+        return
+    i = order[pos]
+    for j in candidates[i]:
+        if not used[j] and _consistent(i, j, image, done, tables):
+            image[i] = j
+            used[j] = True
+            done.append((i, j))
+            _search_similarities(pos + 1, order, candidates, image, used, done, found, tables)
+            done.pop()
+            used[j] = False
+            image[i] = -1
+
+
+def test_group_search_matches_every_leaf():
+    # The stabilizer-chain search of the self-similarities, and phi_0 after
+    # them for a second ring object equal to the first: the only way to
+    # reach that path, since no two distinct rings with n < 37 are similar.
+    rings = [a for n in range(1, 25) for a in enumerate_srings(n)]
+    rings += [cyclotomic_sring(72, [11, 13]), cyclotomic_sring(144, [5, 7])]
+    assert len(rings) == 479
+    sizes = set()
+    for a in rings:
+        want = _similarity_maps_by_every_leaf(a, a)
+        assert _self_maps(_fresh(a)) == want, a
+        assert _similarity_maps(a, _fresh(a)) == want, a
+        sizes.add(len(want))
+    # every group order that occurs among these rings
+    assert sizes == {1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 16, 18, 22}
 
 
 _SIMILARITY_MEMOS = (

@@ -51,6 +51,15 @@ def test_similarities_of_full_ring_are_unit_maps():
                 assert phi.image_of(a.class_of[x]) == (x * k % n,)
 
 
+def test_similarities_of_full_ring_67_are_its_66_unit_maps():
+    # the discrete ring over Z_67, past the oracle's bound: every similarity
+    # is induced by a unit, and the 66 units induce distinct maps
+    a = full_sring(67)
+    maps = [phi.class_map for phi in similarities(a, a)]
+    assert maps == sorted(from_unit(a, k).class_map for k in units(67).elements)
+    assert len(maps) == 66
+
+
 def test_similarities_between_different_rings(cyc5, units4, rank2_4):
     assert similarities(cyc5, full_sring(5)) == []
     assert similarities(units4, rank2_4) == []
@@ -120,6 +129,19 @@ def test_inducing_unit(cyc5):
     assert inducing_unit(cyc5, ident) == 1
     assert inducing_unit(cyc5, swap) == 2
     assert inducing_unit(rank2_sring(3), identity_similarity(rank2_sring(3))) == 1
+
+
+def test_inducing_unit_requires_a_similarity_of_the_ring():
+    other = identity_similarity(rank2_sring(7))
+    with pytest.raises(ValueError, match="^similarity does not act on the given ring$"):
+        inducing_unit(rank2_sring(5), other)
+    # a class map between two rings of rank 3: its source or its target is
+    # not the ring
+    a, b = SRing(5, [[0], [1, 4], [2, 3]]), SRing(7, [[0], [1, 2, 4], [3, 5, 6]])
+    for ring in (a, b):
+        with pytest.raises(ValueError, match="^similarity does not act on the given ring$"):
+            inducing_unit(ring, Similarity(a, b, (0, 1, 2)))
+    assert inducing_unit(a, identity_similarity(SRing(5, a.classes))) == 1
 
 
 def test_fs_of_requires_quasidense(rank2_4):
