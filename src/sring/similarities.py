@@ -358,25 +358,39 @@ def _restricted_map(
         if src < 0:
             continue
         dst = dst_of[j]
-        if dst < 0:  # pragma: no cover - theory
+        if dst < 0:  # a similarity keeps H_u; the callers tell a bad map apart
             raise TheoryViolation(f"similarity moved a class out of the subgroup H_{s.u}")
         if image[src] < 0:
             image[src] = dst
-        elif image[src] != dst:  # pragma: no cover - theory
+        elif image[src] != dst:  # as above: not for a similarity
             raise TheoryViolation(f"restriction to {s} is not well defined")
     return tuple(image)
 
 
 def restrict_similarity(phi: Similarity, s: Section) -> Similarity:
-    """The induced similarity between the restrictions to a common section."""
+    """The induced similarity between the restrictions to a common section.
+
+    A class map that is not a similarity raises ``ValueError`` when the
+    restriction fails on it."""
     a, b = phi.source, phi.target
     if s.n != a.n:
         raise NotASection(f"{s} does not live over Z_{a.n}")
     ra = restrict_to(a, s)
-    cmap = _restricted_map(
-        s, _section_class_of(a, s), _section_class_of(b, s), phi.class_map, ra.rank
-    )
+    src_of, dst_of = _section_class_of(a, s), _section_class_of(b, s)
+    try:
+        cmap = _restricted_map(s, src_of, dst_of, phi.class_map, ra.rank)
+    except TheoryViolation:
+        _require_similarity(a, b, phi.class_map)
+        raise
     return Similarity(ra, restrict_to(b, s), cmap)
+
+
+def _require_similarity(a: SRing, b: SRing, class_map: tuple[int, ...]) -> None:
+    """Raise ValueError when ``class_map`` is not a similarity from ``a`` to
+    ``b``.  Called only after a theory check failed, so that bad input is
+    told apart from a broken theorem at no cost to valid input."""
+    if not is_similarity(a, b, class_map):
+        raise ValueError(f"class map {class_map} is not a similarity")
 
 
 def from_unit(a_s: SRing, k: int) -> Optional[Similarity]:
@@ -399,21 +413,18 @@ def inducing_unit(a_s: SRing, psi: Similarity) -> Optional[int]:
     """The smallest unit k with X -> k*X equal to ``psi``, if one exists."""
     if psi.source != a_s or psi.target != a_s:
         raise ValueError("similarity does not act on the given ring")
-    return _unit_maps(a_s)[0].get(psi.class_map)
+    return _unit_maps(a_s).get(psi.class_map)
 
 
 @_per_ring
-def _unit_maps(
-    a_s: SRing,
-) -> tuple[dict[tuple[int, ...], int], dict[int, tuple[int, ...]]]:
-    """Each class map X -> k*X that a unit k induces, with its smallest k, and
-    the same pairs keyed by that k, from one walk over the units."""
+def _unit_maps(a_s: SRing) -> dict[tuple[int, ...], int]:
+    """Each class map X -> k*X that a unit k induces, with its smallest k."""
     maps: dict[tuple[int, ...], int] = {}
     for k in units(a_s.n).elements:
         phi = from_unit(a_s, k)
         if phi is not None:
             maps.setdefault(phi.class_map, k)
-    return maps, {k: cmap for cmap, k in maps.items()}
+    return maps
 
 
 @_per_ring
@@ -433,7 +444,7 @@ def _extraction(
     return (
         tuple(_section_class_of(a, s) for s in secs),
         tuple(a_s.rank for a_s in rings),
-        tuple(_unit_maps(a_s)[0] for a_s in rings),
+        tuple(map(_unit_maps, rings)),
         tuple(map(class_stabilizer, rings)),
     )
 
@@ -449,12 +460,19 @@ def fs_of(a: SRing, phi: Similarity) -> Multiplier:
     Each restriction is read as ``restrict_similarity`` reads it, without
     building the restricted ``Similarity``.  The units are kept on the ring
     per class map (``_fs_units``); each call returns a new ``Multiplier``.
+    A class map that is not a similarity raises ``ValueError`` when the
+    extraction fails on it.
     """
     if not is_quasidense(a):
         raise ValueError("outer multiplier extraction requires a quasidense ring")
     if phi.source != a or phi.target != a:
         raise ValueError("similarity does not act on the given ring")
-    return _outer_family(a, _fs_units(a, phi.class_map))
+    try:
+        ks = _fs_units(a, phi.class_map)
+    except TheoryViolation:
+        _require_similarity(a, a, phi.class_map)
+        raise
+    return _outer_family(a, ks)
 
 
 def _outer_family(a: SRing, ks: tuple[int, ...]) -> Multiplier:
@@ -479,49 +497,20 @@ def _fs_units(a: SRing, class_map: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(ks)
 
 
-@_per_ring
-def _reassembly(
-    a: SRing,
-) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[dict[int, tuple[int, ...]], ...]]:
-    """For each class of ``a``, with p its generated-over-radical section: its
-    class in the restriction to p; for each class of that restriction, the
-    one class of ``a`` whose image it is, or -1 when several are; and the
-    restriction's class maps keyed by their smallest units."""
-    secs = _class_sections(a)
-    over_of: dict[Section, tuple[int, ...]] = {}
-    for p in dict.fromkeys(secs):
-        over = [-2] * restrict_to(a, p).rank
-        for i, d in enumerate(_section_class_of(a, p)):
-            if d >= 0:
-                over[d] = i if over[d] == -2 else -1
-        over_of[p] = tuple(over)
-    return (
-        tuple(_section_class_of(a, p)[i] for i, p in enumerate(secs)),
-        tuple(over_of[p] for p in secs),
-        tuple(_unit_maps(restrict_to(a, p))[1] for p in secs),
-    )
-
-
-def _set_image(a_s: SRing, i: int, k: int) -> int:
-    """The class of ``a_s`` equal to the set k * X_i, or -1."""
-    m, cl = a_s.n, a_s.class_of
-    image = {k * x % m for x in a_s.classes[i]}
-    j = cl[min(image)]
-    return j if len(image) == len(a_s.classes[j]) and all(cl[x] == j for x in image) else -1
-
-
 def similarity_from_outer(a: SRing, om: Multiplier) -> Similarity:
     """Reassemble a similarity from an outer multiplier, classwise.
 
-    Each class X lies in H_u for its generated-over-radical section p = (l, u)
-    and is a union of H_l-cosets, so it is the preimage in H_u of its
-    restricted class C.  Its image under the unit k assigned to p is the
-    preimage of k * C.  That is a class of ``a`` exactly when k * C is one
-    restricted class with a single class of ``a`` over it.  The unit a
-    family chooses is the smallest of its stabilizer coset, and the units of
-    one coset induce one class map, which is read from the table; any other
-    k is tested on the sets.  The class map is kept on the ring per unit
-    vector (``_outer_map``); each call returns a new ``Similarity``.
+    Let X be a class, p = (l, u) its generated-over-radical section, q =
+    n / l, and k the unit the family gives p.  X lies in H_u and is a union
+    of H_l-cosets, which are the residue classes mod q, so X is the
+    preimage of its residues C = {x mod q : x in X}, multiples of n / u
+    that stand for the elements of H_u / H_l.  Its image is the preimage of
+    C' = {k * x mod q : x in X}, which has |C'| * l elements, the smallest
+    of them min(C').  So the image is a class exactly when the class X_j of
+    min(C') has |C'| * l elements and its residues mod q are C'.  One test,
+    in O(|X| + |X_j|), serves every k, the smallest of its stabilizer coset
+    or not.  The class map is kept on the ring per unit vector
+    (``_outer_map``); each call returns a new ``Similarity``.
     """
     if not is_quasidense(a):
         raise ValueError("reconstruction requires a quasidense ring")
@@ -536,13 +525,14 @@ def _outer_map(a: SRing, ks: tuple[int, ...]) -> tuple[int, ...]:
     """The class map of the similarity with unit ``ks[i]`` at the i-th
     section of ``frs0(a)``, checked to be a similarity."""
     unit_for = dict(zip(frs0(a), ks))
+    n, cl, classes = a.n, a.class_of, a.classes
     cmap = []
-    for cls, p, src, over, maps_by_unit in zip(a.classes, _class_sections(a), *_reassembly(a)):
-        k = unit_for[p]
-        images = maps_by_unit.get(k)
-        dst = images[src] if images is not None else _set_image(restrict_to(a, p), src, k)
-        j = over[dst] if dst >= 0 else -1
-        if j < 0:
+    for cls, p in zip(classes, _class_sections(a)):
+        k, q = unit_for[p], n // p.l
+        image = {k * x % q for x in cls}
+        j = cl[min(image)]
+        xj = classes[j]
+        if len(xj) != len(image) * p.l or {y % q for y in xj} != image:
             raise ReconstructionFailed(
                 f"image of {list(cls)} under unit {k} on {p} is not a class"
             )

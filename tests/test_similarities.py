@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
+import re
+
 import pytest
 
 from sring import (
@@ -10,6 +13,8 @@ from sring import (
     Section,
     Similarity,
     SRing,
+    TheoryViolation,
+    cyclotomic_sring,
     from_unit,
     frs0,
     fs_of,
@@ -18,10 +23,13 @@ from sring import (
     inducing_unit,
     is_quasidense,
     is_similarity,
+    mult_group,
     rank2_sring,
     restrict_similarity,
+    restrict_to,
     similarities,
     similarity_from_outer,
+    theta,
 )
 from sring.modarith import units
 from sring.oracle import enumerate_srings
@@ -166,6 +174,20 @@ def test_fs_of_identity_gives_trivial_cosets(units8):
         assert 1 in om.coset_for(s)
 
 
+def test_every_multiplier_rebuilds_the_similarity_of_its_theta_image():
+    # a plain multiplier carries at many sections at once a unit that is not
+    # the smallest of its stabilizer coset; theta keeps the coset, so both
+    # families rebuild the same similarity
+    rings = [a for n in range(1, 25) for a in enumerate_srings(n) if is_quasidense(a)]
+    rings.append(cyclotomic_sring(72, [11, 13]))
+    checked = 0
+    for a in rings:
+        for mu in mult_group(a):
+            assert similarity_from_outer(a, mu) == similarity_from_outer(a, theta(a, mu)), (a, mu)
+            checked += 1
+    assert checked == 2581
+
+
 def test_similarity_from_outer_rejects_wrong_sections(cyc5, units8):
     om = fs_of(units8, identity_similarity(units8))
     with pytest.raises(ValueError):
@@ -181,3 +203,38 @@ def test_similarity_from_outer_rejects_a_repeated_section(units8):
     assert set(twice.sections) == set(frs0(units8))
     with pytest.raises(ValueError, match="not defined over this ring's sections"):
         similarity_from_outer(units8, twice)
+
+
+@pytest.mark.parametrize(
+    "a, cmap, s",
+    [
+        # moves the class {4} out of H_2
+        (SRing(8, [[0], [4], [2, 6], [1, 3, 5, 7]]), (0, 3, 2, 1), Section(8, 1, 2)),
+        # swaps {2} and {3}, so the map of Z_4 / H_2 is not well defined
+        (full_sring(4), (0, 1, 3, 2), Section(4, 2, 4)),
+    ],
+)
+def test_class_maps_that_are_not_similarities_are_bad_input(a, cmap, s, monkeypatch):
+    # a bad class map fails a restriction check that a similarity always
+    # passes; fs_of and restrict_similarity then refuse it as input
+    bad = Similarity(a, a, cmap)
+    message = "^" + re.escape(f"class map {cmap} is not a similarity") + "$"
+    with pytest.raises(ValueError, match=message):
+        fs_of(a, bad)
+    with pytest.raises(ValueError, match=message):
+        restrict_similarity(bad, s)
+    for phi in similarities(a, a):
+        assert similarity_from_outer(a, fs_of(a, phi)) == phi
+        assert restrict_similarity(phi, s).source == restrict_to(a, s)
+    # on a genuine similarity a failed check is still a broken theorem
+    def broken(*args):
+        raise TheoryViolation("broken")
+
+    module = importlib.import_module("sring.similarities")
+    monkeypatch.setattr(module, "_fs_units", broken)
+    monkeypatch.setattr(module, "_restricted_map", broken)
+    phi = identity_similarity(a)
+    with pytest.raises(TheoryViolation, match="^broken$"):
+        fs_of(a, phi)
+    with pytest.raises(TheoryViolation, match="^broken$"):
+        restrict_similarity(phi, s)
