@@ -84,7 +84,11 @@ def analyze(a: SRing) -> AnalysisReport:
 
 
 def _read_sring(path: str) -> SRing:
-    text = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -259,6 +259,8 @@ def enumerate_srings(n: int, *, max_n: int = ENUMERATE_BOUND) -> list[SRing]:
     """Every S-ring over Z_n, canonically sorted."""
     if n < 1:
         raise ValueError(f"group order must be positive, got {n}")
+    if max_n < 1:
+        raise ValueError(f"size bound must be positive, got {max_n}")
     if n > max_n:
         raise LimitExceeded(f"enumeration over Z_{n} exceeds the bound {max_n}")
     return list(_enumerate_cached(n))
@@ -419,9 +421,10 @@ def _coset_rings_refining(a: SRing) -> list[SRing]:
     their unit multiples.  A unit k maps H onto itself, so k(x + H) = kx + H,
     and two multiples are equal or disjoint with no overlap test; -1 is a
     unit, so a coset and its negation are too.  A coset is dropped unrefined
-    when one of its multiples, itself included, meets two classes of ``a``.
-    So every class of a ring found, pinned as {0}, a singleton or such a
-    multiple, is a coset inside one class of ``a``.
+    when it meets two classes of ``a``.  One inside a class X has each
+    multiple k(x + H) inside kX, a class by Schur's theorem (see
+    ``_enumerate_cached``).  So every class of a ring found, pinned as {0}, a
+    singleton or such a multiple, is a coset inside one class of ``a``.
     """
     n, class_of = a.n, a.class_of
     unit_elems = units(n).elements
@@ -429,11 +432,8 @@ def _coset_rings_refining(a: SRing) -> list[SRing]:
     def candidates(anchor: int, region: frozenset[int]) -> Iterable:
         for d in divisors(n):
             coset = frozenset((anchor + h) % n for h in subgroup(n, d))
-            if not coset <= region:
-                continue
-            orbit = frozenset(frozenset((k * x) % n for x in coset) for k in unit_elems)
-            if all(len({class_of[x] for x in mult}) == 1 for mult in orbit):
-                yield coset, orbit
+            if coset <= region and len({class_of[x] for x in coset}) == 1:
+                yield coset, frozenset(frozenset(k * x % n for x in coset) for k in unit_elems)
 
     return [SRing(n, cls, check=False) for cls in _search(n, candidates)]
 

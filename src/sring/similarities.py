@@ -11,6 +11,7 @@ a similarity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from operator import floordiv, itemgetter
 from typing import Optional
 
@@ -393,20 +394,19 @@ def _require_similarity(a: SRing, b: SRing, class_map: tuple[int, ...]) -> None:
         raise ValueError(f"class map {class_map} is not a similarity")
 
 
-def from_unit(a_s: SRing, k: int) -> Optional[Similarity]:
-    """The class map X -> k*X when multiplication by k permutes the classes."""
+def from_unit(a_s: SRing, k: int) -> Similarity:
+    """The class map X -> k*X of the unit k.
+
+    Every unit k of Z_m maps each class X of an S-ring over Z_m onto a class
+    (Schur's theorem on multipliers; Wielandt, *Finite Permutation Groups*,
+    1964, Thm 23.9).  So k*X is the class of k*x for any x in X, one lookup
+    per class.
+    """
     m = a_s.n
     if k not in units(m):
         raise ValueError(f"{k} is not a unit modulo {m}")
     cl = a_s.class_of
-    cmap = []
-    for cls in a_s.classes:
-        # k*X has |X| elements, so it is the class j when it lies inside it
-        j = cl[(k * cls[0]) % m]
-        if len(a_s.classes[j]) != len(cls) or any(cl[(k * x) % m] != j for x in cls):
-            return None
-        cmap.append(j)
-    return Similarity(a_s, a_s, tuple(cmap))
+    return Similarity(a_s, a_s, tuple(cl[k * cls[0] % m] for cls in a_s.classes))
 
 
 def inducing_unit(a_s: SRing, psi: Similarity) -> Optional[int]:
@@ -421,9 +421,7 @@ def _unit_maps(a_s: SRing) -> dict[tuple[int, ...], int]:
     """Each class map X -> k*X that a unit k induces, with its smallest k."""
     maps: dict[tuple[int, ...], int] = {}
     for k in units(a_s.n).elements:
-        phi = from_unit(a_s, k)
-        if phi is not None:
-            maps.setdefault(phi.class_map, k)
+        maps.setdefault(from_unit(a_s, k).class_map, k)
     return maps
 
 
@@ -502,21 +500,23 @@ def similarity_from_outer(a: SRing, om: Multiplier) -> Similarity:
 
     Let X be a class, p = (l, u) its generated-over-radical section, q =
     n / l, and k the unit the family gives p.  X lies in H_u and is a union
-    of H_l-cosets, which are the residue classes mod q, so X is the
-    preimage of its residues C = {x mod q : x in X}, multiples of n / u
-    that stand for the elements of H_u / H_l.  Its image is the preimage of
-    C' = {k * x mod q : x in X}, which has |C'| * l elements, the smallest
-    of them min(C').  So the image is a class exactly when the class X_j of
-    min(C') has |C'| * l elements and its residues mod q are C'.  One test,
-    in O(|X| + |X_j|), serves every k, the smallest of its stabilizer coset
-    or not.  The class map is kept on the ring per unit vector
-    (``_outer_map``); each call returns a new ``Similarity``.
+    of H_l-cosets, the residue classes mod q.  Lift k to a unit k~ of Z_n
+    (m = u / l divides n).  By Schur's theorem (see ``from_unit``) k~X is a
+    class, a union of H_l-cosets as k~H_l = H_l, and k~x = kx mod q for x
+    in H_u.  So k~X is the preimage of {k * x mod q : x in X}, the image
+    the family gives X, and the class of k * min(X) mod q: one lookup per
+    class.  A family with a non-unit entry is refused with ``ValueError``.
+    The class map is kept on the ring per unit vector (``_outer_map``);
+    each call returns a new ``Similarity``.
     """
     if not is_quasidense(a):
         raise ValueError("reconstruction requires a quasidense ring")
     secs = frs0(a)
     if len(om.entries) != len(secs) or set(om.sections) != set(secs):
         raise ValueError("outer multiplier is not defined over this ring's sections")
+    for s, _, k in om.entries:
+        if gcd(k, s.m) != 1:
+            raise ValueError(f"{k} is not a unit modulo {s.m} on {s}")
     return Similarity(a, a, _outer_map(a, om.canonical_vector()))
 
 
@@ -525,18 +525,10 @@ def _outer_map(a: SRing, ks: tuple[int, ...]) -> tuple[int, ...]:
     """The class map of the similarity with unit ``ks[i]`` at the i-th
     section of ``frs0(a)``, checked to be a similarity."""
     unit_for = dict(zip(frs0(a), ks))
-    n, cl, classes = a.n, a.class_of, a.classes
-    cmap = []
-    for cls, p in zip(classes, _class_sections(a)):
-        k, q = unit_for[p], n // p.l
-        image = {k * x % q for x in cls}
-        j = cl[min(image)]
-        xj = classes[j]
-        if len(xj) != len(image) * p.l or {y % q for y in xj} != image:
-            raise ReconstructionFailed(
-                f"image of {list(cls)} under unit {k} on {p} is not a class"
-            )
-        cmap.append(j)
-    if not is_similarity(a, a, tuple(cmap)):
+    n, cl = a.n, a.class_of
+    cmap = tuple(
+        cl[unit_for[p] * cls[0] % (n // p.l)] for cls, p in zip(a.classes, _class_sections(a))
+    )
+    if not is_similarity(a, a, cmap):
         raise ReconstructionFailed("classwise images do not form a similarity")
-    return tuple(cmap)
+    return cmap

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import io
 import json
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -40,6 +42,16 @@ def test_validate_ok(ring_file, capsys):
     code, out, err = run(capsys, "validate", path, "--json")
     assert code == 0
     assert json.loads(out) == {"ok": True, "n": 5, "rank": 3}
+
+
+def test_validate_closes_its_input_file(ring_file, capsys):
+    path = ring_file("good.json", 5, [[0], [1, 4], [2, 3]])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "validate", path)
+        gc.collect()
+    assert code == 0
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_validate_diagnoses_bad_input(ring_file, capsys):
@@ -237,6 +249,17 @@ def test_enumerate_limit(capsys):
     assert code == 3 and "limit exceeded" in err
     code, out, err = run(capsys, "enumerate", "10", "--max-n", "9")
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "n, bound, expected", [("5", "0", 2), ("5", "-1", 2), ("10", "9", 3)]
+)
+def test_enumerate_bound_below_one_is_input_error(capsys, n, bound, expected):
+    # a bound that lets no group be enumerated is bad input, not a refused size
+    code, out, err = run(capsys, "enumerate", n, "--max-n", bound)
+    assert code == expected and not out
+    assert ("input error" if expected == 2 else "limit exceeded") in err
+    assert "Traceback" not in err
 
 
 def test_enumerate_reports_nonseparable(capsys):

@@ -99,6 +99,12 @@ def test_enumerate_respects_limit():
         enumerate_srings(10, max_n=9)
 
 
+@pytest.mark.parametrize("bound", [0, -1])
+def test_enumerate_rejects_bound_below_one(bound):
+    with pytest.raises(ValueError, match=f"^size bound must be positive, got {bound}$"):
+        enumerate_srings(5, max_n=bound)
+
+
 def test_prime_counts_match_cyclotomic_construction():
     for p in (3, 5, 7, 11, 13):
         rings = set(enumerate_srings(p))

@@ -33,6 +33,7 @@ from sring import (
 )
 from sring.modarith import units
 from sring.oracle import enumerate_srings
+from sring.sections import _class_sections
 
 
 def test_identity_is_a_similarity(cyc5):
@@ -123,11 +124,33 @@ def test_from_unit(cyc5):
 
 
 def test_every_unit_permutes_the_classes():
-    # Multiplication by any unit maps classes to classes.
-    for n in range(1, 13):
+    # Multiplication by any unit maps each class onto a class (Schur's
+    # theorem), the one from_unit reads off a single element of it.
+    for n in range(1, 37):
         for a in enumerate_srings(n):
             for k in units(n).elements:
-                assert from_unit(a, k) is not None
+                image = [frozenset(k * x % n for x in cls) for cls in a.classes]
+                got = [frozenset(a.classes[j]) for j in from_unit(a, k).class_map]
+                assert got == image, (a, k)
+
+
+def test_outer_map_reads_the_preimage_of_each_unit_image():
+    # For a class X of a quasidense ring with section p = (l, u), q = n / l
+    # and any unit k mod m, the class of k * min(X) mod q, which
+    # similarity_from_outer reads, is the preimage of {k * x mod q : x in X}.
+    pairs = 0
+    for n in range(1, 37):
+        for a in enumerate_srings(n):
+            if not is_quasidense(a):
+                continue
+            for cls, p in zip(a.classes, _class_sections(a)):
+                q = n // p.l
+                for k in units(p.m).elements:
+                    image = {k * x % q for x in cls}
+                    preimage = {y for y in range(n) if y % q in image}
+                    assert set(a.classes[a.class_of[k * cls[0] % q]]) == preimage, (a, cls, k)
+                    pairs += 1
+    assert pairs == 42073
 
 
 def test_inducing_unit(cyc5):
