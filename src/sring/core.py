@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache, wraps
-from itertools import compress
+from itertools import chain, compress
 from math import gcd
 from operator import add
 from typing import Callable, Collection, Iterable, Optional, Sequence, TypeVar, cast
@@ -59,22 +59,38 @@ _F = TypeVar("_F", bound=Callable)
 def _per_ring(fn: _F) -> _F:
     """Keep ``fn(a, *args)`` for the life of the ring ``a``.
 
-    Values live in ``a._cache[name][args]``, under the function's qualified
-    name rather than the function, so that a ring with a full cache still
-    pickles.  A call that raises keeps nothing, so a failed build raises
-    again on the next call.
+    Values live in ``a._cache``, under the function's qualified name rather
+    than the function, so that a ring with a full cache still pickles.  A
+    function of the ring alone keeps its value there directly, as
+    ``a._cache[name]``, where a dict of one entry keyed by ``()`` would add
+    about 220 bytes per ring and function.  A function with further
+    arguments keeps ``a._cache[name][args]``.  A call that raises keeps
+    nothing, so a failed build raises again on the next call.
     """
     name = f"{fn.__module__}.{fn.__qualname__}"
 
-    @wraps(fn)
-    def memo(a: "SRing", *args):
-        try:
-            return a._cache[name][args]
-        except KeyError:
-            pass
-        value = fn(a, *args)
-        a._cache.setdefault(name, {})[args] = value
-        return value
+    if fn.__code__.co_argcount == 1:
+
+        @wraps(fn)
+        def memo(a: "SRing"):
+            try:
+                return a._cache[name]
+            except KeyError:
+                pass
+            value = a._cache[name] = fn(a)
+            return value
+
+    else:
+
+        @wraps(fn)
+        def memo(a: "SRing", *args):
+            try:
+                return a._cache[name][args]
+            except KeyError:
+                pass
+            value = fn(a, *args)
+            a._cache.setdefault(name, {})[args] = value
+            return value
 
     return cast(_F, memo)
 
@@ -83,7 +99,7 @@ def _canonical_classes(n: int, classes: Iterable[Iterable[int]]) -> tuple[tuple[
     seen: set[int] = set()
     cleaned = []
     for raw in classes:
-        cls = sorted(set(int(x) for x in raw))
+        cls = sorted(set(map(int, raw)))
         if not cls:
             raise NotAPartition("empty class")
         for x in cls:
@@ -103,11 +119,15 @@ class SRing:
     """An S-ring over Z_n, stored as the canonically ordered class partition.
 
     Classes are sorted internally and listed by smallest element, so equal
-    rings compare equal.  Pass ``check=False`` only for partitions already
-    known to satisfy the ring axioms.
+    rings compare equal.  A checked build refuses an order or an element
+    that is not an int with ``ValidationError``.  Pass ``check=False`` only
+    for partitions of ints already known to satisfy the ring axioms.
     """
 
     def __init__(self, n: int, classes: Iterable[Iterable[int]], *, check: bool = True):
+        if check:
+            classes = [list(c) for c in classes]
+            _require_integers(n, classes)
         self.n = int(n)
         if self.n < 1:
             raise NotAPartition(f"group order must be positive, got {n}")
@@ -122,7 +142,7 @@ class SRing:
                 class_of[x] = i
         self.class_of = tuple(class_of)
         # derived data of this ring, filled by the functions under _per_ring
-        self._cache: dict[str, dict[tuple, object]] = {}
+        self._cache: dict[str, object] = {}
         if check:
             self._check_ring()
 
@@ -191,12 +211,7 @@ class SRing:
             classes = data["classes"]
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed S-ring object: {exc}") from exc
-        if not _is_int(n):
-            raise ValidationError(f"group order must be an integer, got {n!r}")
-        if not isinstance(classes, list) or not all(
-            isinstance(c, list) and all(_is_int(x) for x in c) for c in classes
-        ):
-            raise ValidationError("classes must be a list of lists of integers")
+        _require_integers(n, classes)
         for c in classes:
             if len(set(c)) != len(c):
                 counts = Counter(c)
@@ -209,10 +224,30 @@ def _is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _all_of(values: Iterable[object], kind: type) -> bool:
+    """Whether every value is a ``kind`` and none is a bool, read from the
+    set of their types in one pass."""
+    return all(issubclass(t, kind) and t is not bool for t in set(map(type, values)))
+
+
+def _require_integers(n: object, classes: object) -> None:
+    """Refuse an order that is not an int, or classes that are not lists of
+    ints: ``int`` would truncate 4.9 to 4, and would read True as 1."""
+    if not _is_int(n):
+        raise ValidationError(f"group order must be an integer, got {n!r}")
+    if not (
+        isinstance(classes, list)
+        and _all_of(classes, list)
+        and _all_of(chain.from_iterable(classes), int)
+    ):
+        raise ValidationError("classes must be a list of lists of integers")
+
+
 def validate(n: int, classes: Iterable[Iterable[int]]) -> SRing:
     """Check the S-ring axioms and return the canonical representation.
 
-    Raises NotAPartition, MissingIdentityClass, NotInverseClosed or
+    Raises ValidationError for an order or an element that is not an int,
+    else NotAPartition, MissingIdentityClass, NotInverseClosed or
     NotMultiplicativelyClosed, naming the first violating witness.
     """
     return SRing(n, classes, check=True)

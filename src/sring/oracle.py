@@ -270,18 +270,30 @@ def enumerate_srings(n: int, *, max_n: int = ENUMERATE_BOUND) -> list[SRing]:
 
 
 def verify_isomorphism(phi: Similarity, iso: Isomorphism) -> bool:
-    """Independent set-level recheck: f(X + y) == image(X) + f(y) for all X, y."""
+    """Independent recheck: f(X + y) == phi(X) + f(y) for every class X of
+    the source and every y in Z_n, where f is the table of ``iso``.
+
+    It reads one class per pair (x, y): f(x + y) - f(y) must lie in the
+    image of the class of x.  For a fixed y, x -> f(x + y) - f(y) is then a
+    bijection of Z_n that maps each class X into phi(X).  The class map is
+    required to be a permutation, so the images phi(X) partition Z_n as the
+    classes do, and each X maps onto phi(X): that is the set equation.
+    Conversely the set equation makes the sets f(X + y) - f(y) disjoint,
+    so it holds only for a permutation.
+    """
     a, b = phi.source, phi.target
-    n = a.n
-    if sorted(iso.table) != list(range(n)) or iso.table[0] != 0:
+    n, t, cmap = a.n, iso.table, phi.class_map
+    if sorted(t) != list(range(n)) or t[0] != 0:
         return False
-    for i, cls in enumerate(a.classes):
-        img = phi.image_of(i)
-        for y in range(n):
-            lhs = {iso.table[(x + y) % n] for x in cls}
-            rhs = {(x + iso.table[y]) % n for x in img}
-            if lhs != rhs:
-                return False
+    if b.n != n or b.rank != a.rank or sorted(cmap) != list(range(a.rank)):
+        return False
+    want = [cmap[c] for c in a.class_of]  # the image of the class of x
+    cl_b = b.class_of
+    for y, fy in enumerate(t):
+        # shifted[z] is the class of z - f(y); t[y:] + t[:y] lists f(x + y)
+        shifted = cl_b[n - fy :] + cl_b[: n - fy]
+        if list(map(shifted.__getitem__, t[y:] + t[:y])) != want:
+            return False
     return True
 
 

@@ -76,12 +76,17 @@ def identity_similarity(a: SRing) -> Similarity:
 
 
 @_per_ring
-def _constants(a: SRing) -> tuple[int, ...]:
-    """The structure constants of ``a`` as one flat tuple.
+def _constants(a: SRing) -> bytes | tuple[int, ...]:
+    """The structure constants of ``a`` as one flat sequence.
 
     Entry ``(i * r + j) * r + k`` is the coefficient of X_k in X_i * X_j.
     It counts the pairs (x, y) with x in X_i, y in X_j and x + y in X_k,
-    divided by |X_k|, since every z in X_k is hit equally often.
+    divided by |X_k|, since every z in X_k is hit equally often.  So it is
+    at most |X_i|, below n when n > 1, and the table is ``bytes`` when
+    n <= 256: one byte per constant where a tuple keeps an 8-byte pointer.
+    Past 256 it is a tuple.  Indexing ``bytes`` is slower than indexing a
+    tuple, so the similarity search reads a tuple copy it does not keep
+    (``_search_setup``).
     """
     n, r, cl = a.n, a.rank, a.class_of
     counts = [0] * (r * r * r)
@@ -91,7 +96,7 @@ def _constants(a: SRing) -> tuple[int, ...]:
         for j, k in zip(cl, cl[x:] + cl[:x]):
             counts[(base + j) * r + k] += 1
     sizes = [len(c) for c in a.classes] * (r * r)
-    return tuple(map(floordiv, counts, sizes))
+    return (bytes if n <= 256 else tuple)(map(floordiv, counts, sizes))
 
 
 def is_similarity(a: SRing, b: SRing, class_map: tuple[int, ...]) -> bool:
@@ -114,7 +119,7 @@ def is_similarity(a: SRing, b: SRing, class_map: tuple[int, ...]) -> bool:
         for j in range(i, r):
             row_a = (i * r + j) * r
             row_b = (class_map[i] * r + class_map[j]) * r
-            if ca[row_a : row_a + r] != permute(cb[row_b : row_b + r]):
+            if tuple(ca[row_a : row_a + r]) != permute(cb[row_b : row_b + r]):
                 return False
     return True
 
@@ -253,7 +258,9 @@ def _similarity_maps(a: SRing, b: SRing) -> tuple[tuple[int, ...], ...]:
 def _search_setup(a: SRing, b: SRing) -> tuple[list[int], list[list[int]], tuple]:
     """The search order of the classes of ``a``, the classes of ``b`` with
     the fingerprint of each, and the tables ``_consistent`` reads: the
-    constants and the inverse classes of both rings."""
+    constants and the inverse classes of both rings.  The constants are
+    tuple copies of ``_constants``, kept only for the search, since the
+    search indexes them most and tuples index faster than ``bytes``."""
     r = a.rank
     fp_a = _class_fingerprints(a)
     fp_b = fp_a if b is a else _class_fingerprints(b)
@@ -261,7 +268,9 @@ def _search_setup(a: SRing, b: SRing) -> tuple[list[int], list[list[int]], tuple
     order = sorted(range(r), key=lambda i: (len(a.classes[i]), a.classes[i][0]))
     inv_a = [a.inverse_class(i) for i in range(r)]
     inv_b = inv_a if b is a else [b.inverse_class(j) for j in range(r)]
-    return order, candidates, (_constants(a), _constants(b), inv_a, inv_b)
+    ca = tuple(_constants(a))
+    cb = ca if b is a else tuple(_constants(b))
+    return order, candidates, (ca, cb, inv_a, inv_b)
 
 
 def _consistent(

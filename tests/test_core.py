@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+import re
 import time
 
 import pytest
@@ -346,6 +347,54 @@ def test_duplicate_check_is_linear():
     with pytest.raises(ValidationError, match="element 19999 appears twice"):
         SRing.from_json_dict({"n": 20000, "classes": [c]})
     assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize(
+    "n, classes, reason",
+    [
+        (4.9, [[0], [1, 3], [2]], "group order must be an integer, got 4.9"),
+        (True, [[0]], "group order must be an integer, got True"),
+        (4, [[0], [1.9, 2, 3]], "classes must be a list of lists of integers"),
+        (4, [[0], [True, 3], [2]], "classes must be a list of lists of integers"),
+    ],
+)
+def test_checked_build_refuses_non_integers(n, classes, reason):
+    # int() would read 4.9 as 4, 1.9 as 1 and True as 1
+    with pytest.raises(ValidationError, match=re.escape(reason)):
+        validate(n, classes)
+    with pytest.raises(ValidationError, match=re.escape(reason)):
+        SRing(n, classes)
+
+
+def test_checked_build_reads_classes_once(units4):
+    # the classes may be one-shot iterators
+    assert validate(4, (iter(c) for c in [[0], [1, 3], [2]])) == units4
+
+
+def test_memo_of_the_ring_alone_holds_its_value():
+    calls = []
+
+    @core._per_ring
+    def rank_plus_one(a):
+        calls.append(a)
+        if len(calls) == 1:
+            raise ValueError("the first call fails")
+        return a.rank + 1
+
+    name = f"{__name__}.{rank_plus_one.__qualname__}"
+    a = full_sring(4)
+    with pytest.raises(ValueError):
+        rank_plus_one(a)
+    assert name not in a._cache  # a call that raises keeps nothing
+    assert rank_plus_one(a) == 5
+    assert rank_plus_one(a) == 5
+    assert len(calls) == 2
+    assert a._cache[name] == 5  # the value itself, not a dict keyed by ()
+    stab = core.class_stabilizer(a)
+    assert a._cache["sring.core.class_stabilizer"] is stab
+    # a memo with arguments keeps one value per argument tuple
+    counts = a.product_counts(1, 2)
+    assert a._cache["sring.core.SRing.product_counts"] == {(1, 2): counts}
 
 
 def test_refines(units4, rank2_4):

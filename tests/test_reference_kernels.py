@@ -41,7 +41,9 @@ every unit in the class of 1 against every residue, and of
 reached afterwards, with ``_stabilize_partition`` for its start; and of
 ``similarities._similarity_maps`` with ``_search_similarities``, which
 walked every leaf of the search for the similarities of a ring to itself
-and to another ring.  They are kept here as test oracles only.
+and to another ring; and of ``oracle.verify_isomorphism``, which compared
+the two sides of f(X + y) = phi(X) + f(y) as sets for every class X and
+every y.  They are kept here as test oracles only.
 
 The per-ring memos of ``similarities`` of a ring to itself, of
 ``oracle._realized``, of ``fs_of`` and of ``similarity_from_outer`` are
@@ -114,14 +116,17 @@ from sring.modarith import divisors, subgroup, unit_mod, unit_subgroups, units
 from sring.multipliers import Multiplier, _is_subsection
 from sring.oracle import (
     COSET_CLOSURE_BOUND,
+    Isomorphism,
     _candidate_classes,
     _is_coset,
     _labels,
     _pinned_products_constant,
     _realized_maps,
     enumerate_srings,
+    find_isomorphism,
     is_separable_bruteforce,
     phi_infty,
+    verify_isomorphism,
 )
 from sring.sections import _class_sections, _proj_key
 from sring.similarities import (
@@ -1162,15 +1167,23 @@ def _inducing_unit_in_class_of_1(a_s: SRing, psi: Similarity) -> Optional[int]:
 
 
 def test_structure_constant_table_matches_product_counts():
-    for n in range(1, 17):
-        for a in enumerate_srings(n):
-            r, table = a.rank, _constants(a)
-            assert len(table) == r**3
-            for i in range(r):
-                for j in range(r):
-                    counts = a.product_counts(i, j)
-                    for k in range(r):
-                        assert table[(i * r + j) * r + k] == counts[a.classes[k][0]]
+    # The table is bytes up to n = 256 and a tuple past it.  The rank-2
+    # rings over Z_256 and Z_257 hold the constants 255 and 256 (the class
+    # of 0 in X_1 * X_1), and cyclotomic_sring(512, [3]) is a ring of low
+    # rank past 256.
+    rings = [a for n in range(1, 17) for a in enumerate_srings(n)]
+    rings += [rank2_sring(256), rank2_sring(257), cyclotomic_sring(512, [3])]
+    for a in rings:
+        r, table = a.rank, _constants(a)
+        assert type(table) is (bytes if a.n <= 256 else tuple), a
+        assert len(table) == r**3
+        for i in range(r):
+            for j in range(r):
+                counts = a.product_counts(i, j)
+                for k in range(r):
+                    assert table[(i * r + j) * r + k] == counts[a.classes[k][0]]
+    assert max(_constants(rank2_sring(256))) == 255
+    assert max(_constants(rank2_sring(257))) == 256
 
 
 def test_self_similarities_match_vector_search():
@@ -1178,6 +1191,7 @@ def test_self_similarities_match_vector_search():
     # the same similarities in the same order.
     rings = [a for n in range(1, 21) for a in enumerate_srings(n)]
     rings += [cyclotomic_sring(72, [11, 13]), cyclotomic_sring(144, [5, 7])]
+    rings.append(cyclotomic_sring(512, [3]))  # a structure-constant tuple, past n = 256
     for a in rings:
         assert similarities(a, a) == _similarities_by_vectors(a, a), a
 
@@ -1726,6 +1740,62 @@ def test_group_search_matches_every_leaf():
     assert sizes == {1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 16, 18, 22}
 
 
+def _verify_isomorphism_by_sets(phi: Similarity, iso: Isomorphism) -> bool:
+    """The recheck as it was: f(X + y) == image(X) + f(y) as sets."""
+    a, b = phi.source, phi.target
+    n = a.n
+    if sorted(iso.table) != list(range(n)) or iso.table[0] != 0:
+        return False
+    for i, cls in enumerate(a.classes):
+        img = phi.image_of(i)
+        for y in range(n):
+            lhs = {iso.table[(x + y) % n] for x in cls}
+            rhs = {(x + iso.table[y]) % n for x in img}
+            if lhs != rhs:
+                return False
+    return True
+
+
+def test_verify_isomorphism_matches_the_set_check():
+    # Every similarity of every ring with n <= 12, with the table
+    # find_isomorphism gives it, every unit table x -> kx and three random
+    # permutations of Z_n fixing 0.  The same tables go with random class
+    # permutations, a class map that is not a permutation, random class
+    # maps into another ring of the same rank, and the map of the full ring
+    # onto the rank-2 ring: a map to fewer classes, which would pass the
+    # elementwise test with the identity table if it were not refused.
+    rng = random.Random(2407)
+    verdicts = []
+    for n in range(1, 13):
+        tables = [tuple(k * x % n for x in range(n)) for k in units(n).elements]
+        for _ in range(3):
+            rest = list(range(1, n))
+            rng.shuffle(rest)
+            tables.append((0, *rest))
+        rings = enumerate_srings(n)
+        pairs = []
+        if n > 2:
+            collapse = Similarity(full_sring(n), rank2_sring(n), (0,) + (1,) * (n - 1))
+            pairs += [(collapse, t) for t in tables]
+        for a in rings:
+            r = a.rank
+            for phi in similarities(a, a):
+                iso = find_isomorphism(phi)
+                pairs += [(phi, t) for t in ([iso.table] if iso else []) + tables]
+            maps = [tuple(rng.sample(range(r), r)) for _ in range(2)]
+            maps.append(tuple(min(i, 1) for i in range(r)))
+            others = [b for b in rings if b.rank == r and b != a][:1]
+            maps_b = [(b, tuple(rng.sample(range(r), r))) for b in others]
+            pairs += [(Similarity(a, a, m), t) for m in maps for t in tables]
+            pairs += [(Similarity(a, b, m), t) for b, m in maps_b for t in tables]
+        for phi, t in pairs:
+            iso = Isomorphism(n, t)
+            want = _verify_isomorphism_by_sets(phi, iso)
+            assert verify_isomorphism(phi, iso) == want, (phi.source, phi.class_map, t)
+            verdicts.append(want)
+    assert (len(verdicts), verdicts.count(True)) == (3810, 790)
+
+
 _SIMILARITY_MEMOS = (
     "sring.similarities._self_maps",
     "sring.oracle._realized_maps",
@@ -1776,5 +1846,8 @@ def test_similarity_memos_match_the_uncached_functions():
             for om in fmult_group(a):
                 assert fs_of(a, similarity_from_outer(a, om)) == om, a
             for name in _SIMILARITY_MEMOS:
-                assert all(map(_ints_only, a._cache.get(name, {}).values())), (a, name)
+                # a memo of the ring alone holds its value, the others a dict
+                memo = a._cache.get(name, {})
+                values = memo.values() if isinstance(memo, dict) else [memo]
+                assert all(map(_ints_only, values)), (a, name)
     assert checked == 388  # the quasidense rings the phi-iso suite counts
