@@ -183,7 +183,7 @@ class SRing:
             j = self.class_of[neg[0]]
             if list(self.classes[j]) != neg:
                 raise NotInverseClosed(f"-1 * {list(cls)} is not a class")
-        if _split(n, self.class_of, class_stabilizer(self))[1] == self.rank:
+        if len(_wl_stabilize(n, self.class_of)) == self.rank:
             return
         # Some product is not constant on a class: find the first witness.
         for i in range(self.rank):
@@ -289,8 +289,8 @@ def _class_stabilizer(n: int, class_of: Sequence[int]) -> tuple[int, ...]:
 
     Each unit of the class of 1 is tested, put in G or ruled out, so G ends
     as K.  Refinement keeps K: a finer partition has no larger stabilizer,
-    and every class that ``_split`` or ``_wl_stabilize`` makes is invariant
-    under this group.
+    and every class that ``_wl_stabilize`` makes is invariant under this
+    group.
     """
     if n == 1:
         return (1,)
@@ -321,8 +321,8 @@ def _class_stabilizer(n: int, class_of: Sequence[int]) -> tuple[int, ...]:
 def class_stabilizer(a: SRing) -> tuple[int, ...]:
     """The units of Z_n that fix every class of ``a``, ascending.
 
-    ``SRing._check_ring`` computes it, so a checked ring carries it from
-    the start.
+    Computed on first use and kept on the ring.  Validation refines with a
+    copy of its own, which it does not keep.
     """
     return _class_stabilizer(a.n, a.class_of)
 
@@ -350,46 +350,6 @@ def coset_mins(a: SRing) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _split(
-    n: int, class_of: Sequence[int], stab: Sequence[int]
-) -> tuple[list[int], int]:
-    """One full refinement round: new class ids by first occurrence, and their number.
-
-    ``SRing._check_ring`` validates with it: a partition with {0} a class
-    and inverse-closed classes is an S-ring exactly when the round splits
-    nothing.
-
-    The signature of z is its class, the class of -z and the sorted codes
-    ``class_of[x] * r + class_of[z - x]`` over all x.  The number of codes
-    (i, j) is the coefficient of z in X_i * X_j, so two residues share a
-    signature exactly when they share a class, the class of their negation
-    and every coefficient of every class product.
-
-    ``stab`` is ``_class_stabilizer(n, class_of)``, and residues in one of
-    its orbits share a signature, so only the smallest element of each
-    orbit computes one and the rest of the orbit copies its id.  For k in
-    ``stab``, x -> kx permutes the x of the code list, and ``class_of`` is
-    equal on x and kx and on z - x and k(z - x), so the codes of kz are
-    those of z; k also fixes the class of z and of -z.  This holds for any
-    partition, S-ring or not.  The smallest element of an orbit is the
-    first one a loop over 0..n-1 reaches, so the ids, numbered by first
-    occurrence, are those that a signature for every residue would give.
-    """
-    cl = list(class_of)
-    r = max(cl) + 1
-    row = [c * r for c in cl]
-    ids: dict[tuple, int] = {}
-    new_class_of = [-1] * n
-    for z in range(n):
-        if new_class_of[z] < 0:
-            # cl[z::-1] + cl[:z:-1] lists class_of[z - x] for x = 0..n-1
-            key = (cl[z], cl[-z], *sorted(map(add, row, cl[z::-1] + cl[:z:-1])))
-            i = ids.setdefault(key, len(ids))
-            for k in stab:
-                new_class_of[k * z % n] = i
-    return new_class_of, len(ids)
-
-
 def _wl_stabilize(
     n: int, class_of: Sequence[int], stable: Optional[Sequence[int]] = None
 ) -> list[list[int]]:
@@ -408,41 +368,53 @@ def _wl_stabilize(
     holds N(A, B)(z) for every current class B.  Every class whose residues
     disagree is split, and all its parts but the one with the most elements
     are queued (Hopcroft's rule).  The queue starts with the classes of
-    ``class_of`` inside each class of ``stable``, all but the largest, and
-    hands out the newest splitter first, which measured fastest; the order
+    ``class_of`` inside each class of ``stable``, all but the largest.
+    These starting splitters A_1, ..., A_m are keyed together, in one pass:
+    with b(y) = i for y in A_i and 0 for y in none of them, z gets the key
+    (b(-z), the sorted codes b(x) * n + class of z - x over x in their
+    union), which holds the test "-z in A_i" and N(A_i, B)(z) for every i
+    and every current class B.  After that pass the queue hands out one
+    splitter at a time, the newest first, which measured fastest; the order
     does not change the result.  It stops when it is empty or every class
-    is one orbit of K, the class stabilizer of the start.
+    is one orbit of K, the class stabilizer of the start.  For a stable
+    start the starting splitters are all classes but the largest, so
+    validation keys each orbit representative once.
 
     The result is the coarsest stable partition W that refines the start,
     the fixed point that a round over every class product at a time
     reaches too:
 
     - Every split is forced.  W refines the start and, by induction, every
-      later partition, so a splitter A, its negation and each class B are
+      later partition, so each splitter, its negation and each class B are
       unions of classes of W; then N(A, B) and the test "-z in A" are
       constant on the classes of W, and W refines the result.
     - The result is stable.  Call Z_n, the classes of ``stable`` and every
-      splitter taken from the queue processed.  N is additive in both
-      arguments and symmetric (x -> z - x maps one count onto the other).
-      Of two splitters, the one processed first was a union of classes when
-      the other was processed, whose keys then held their N.  Z_n and the
-      classes of ``stable`` are unions of classes at every step, N(Z_n, B)
-      is |B|, and two classes of ``stable`` have N constant on its classes.
-      So the N of any two processed sets is constant on the final classes.
-      Every class is a signed sum of processed or queued sets: each class
-      of ``class_of`` is queued or its class of ``stable`` minus the queued
-      ones, and the part of a split class that is not queued is the class
-      minus the others.  When the queue is empty, every class is a signed
-      sum of processed sets, so the product of any two final classes, and
-      the test "-z in C" for a final class C, is constant on the final
+      splitter keyed so far processed.  N is additive in both arguments
+      and symmetric (x -> z - x maps one count onto the other).  Of two
+      splitters keyed one after the other, the first was a union of
+      classes when the second was keyed, whose keys then held their N.  Two
+      starting splitters are both unions of classes when the batch is
+      keyed, so each key holds N with every class and hence with the other
+      splitter.  Z_n and the classes of ``stable`` are unions of classes at
+      every step, N(Z_n, B) is |B|, and two classes of ``stable`` have N
+      constant on its classes.  So the N of any two processed sets is
+      constant on the final classes.  Every class is a signed sum of
+      processed or queued sets: each class of ``class_of`` is a starting
+      splitter or its class of ``stable`` minus the starting ones, and the
+      part of a split class that is not queued is the class minus the
+      others.  When the queue is empty, every class is a signed sum of
+      processed sets, so the product of any two final classes, and the
+      test "-z in C" for a final class C, is constant on the final
       classes.  Keys are K-invariant (below), so a class that is one
       K-orbit never splits, and stopping once every class is one changes
-      nothing.
+      nothing: this ends the validation of an orbit partition, such as a
+      cyclotomic ring, before any key is computed.
 
     Keys are computed only at the smallest element of each K-orbit, and
     the rest of the orbit follows it.  Every class and every splitter A is
     a union of K-orbits, and for k in K, x -> kx permutes A and maps z - x
-    to kz - kx, which has the same class; k also fixes the test -z in A.
+    to kz - kx, which has the same class; k also fixes the test -z in A,
+    and b(kx) = b(x) in the starting pass.
 
     Classes come back numbered by first occurrence, or in the order of the
     input's labels when nothing splits and those labels are 0..k-1.
@@ -467,22 +439,36 @@ def _wl_stabilize(
     within: dict[int, list[list[int]]] = {}
     for rs in reps:
         within.setdefault(0 if stable is None else stable[rs[0]], []).append(elements(rs))
-    queue: list[list[int]] = []
+    batch: list[list[int]] = []
     for parts in within.values():
         parts.sort(key=len)
-        queue += parts[:-1]
-    while queue and len(reps) < orbits:
-        splitter = queue.pop()
-        in_a = bytearray(n)
-        for x in splitter:
-            in_a[x] = 1
+        batch += parts[:-1]
+    queue: list[list[int]] = []
+    while batch and len(reps) < orbits:
+        # b[x]: the 1-based number of the batch splitter holding x, else 0
+        b = [0] * n
+        for i, part in enumerate(batch, 1):
+            for x in part:
+                b[x] = i
+        xs = list(compress(range(n), b))
+        # more than one splitter: each x is coded by its splitter.  When the
+        # batch holds most of Z_n, reading cl[z - x] for every x off a
+        # reversed copy of cl and keeping the x of the batch is cheaper than
+        # reading one x at a time
+        codes = [b[x] * n for x in xs] if len(batch) > 1 else None
+        whole = 2 * len(xs) > n
         for c in range(len(reps)):
             if len(reps[c]) < 2:
                 continue
             keyed: dict[tuple, list[int]] = {}
             for z in reps[c]:
-                # cl[z - x] is cl[(z - x) % n] for z - x in (-n, 0) too
-                key = (in_a[-z], *sorted(map(cl.__getitem__, map(z.__sub__, splitter))))
+                if whole:
+                    # cl[z::-1] + cl[:z:-1] lists cl[z - x] for x = 0..n-1
+                    got = compress(cl[z::-1] + cl[:z:-1], b)
+                else:
+                    # cl[z - x] is cl[(z - x) % n] for z - x in (-n, 0) too
+                    got = map(cl.__getitem__, map(z.__sub__, xs))
+                key = (b[-z], *sorted(map(add, codes, got) if codes else got))
                 keyed.setdefault(key, []).append(z)
             if len(keyed) > 1:
                 split = sorted(
@@ -494,6 +480,7 @@ def _wl_stabilize(
                         cl[x] = len(reps)
                     reps.append(rs)
                     queue.append(part)
+        batch = [queue.pop()] if queue else []
     if len(reps) == len(first) and max(class_of) + 1 == len(first):
         labels = class_of
     else:

@@ -427,30 +427,37 @@ def is_valid_outer_multiplier(a: SRing, om: Multiplier) -> bool:
 def _project(a: SRing, mu: Multiplier) -> Multiplier:
     """The family of stabilizer cosets through the units of ``mu``, unchecked.
 
-    An entry off the sections of ``frs0(a)`` is read from its restriction;
-    the validator rejects such a family, and one with a non-unit, whose coset
-    entry is 0.
+    ``mu`` lists the sections of ``frs0(a)``; the validator rejects a
+    family with a non-unit, whose coset entry is 0.
     """
-    secs, _, _, order = _constraints(a)[:4]
+    order = _constraints(a).order
     stabs, canons = _coset_tables(a)
     entries = []
     for p, (s, _, k) in enumerate(mu.entries):
         # entry p of a family over frs0(a) is search section order[p]
-        i = order[p] if p < len(order) else -1
-        if i >= 0 and secs[i] == s:
-            stab, canon = stabs[i], canons[i]
-        else:
-            a_s = restrict_to(a, s)
-            stab, canon = class_stabilizer(a_s), coset_mins(a_s)
-        entries.append((s, stab, canon[k % s.m]))
+        i = order[p]
+        entries.append((s, stabs[i], canons[i][k % s.m]))
     return Multiplier._canonical(tuple(entries))
 
 
 def theta(a: SRing, mu: Multiplier) -> Multiplier:
-    """Project a multiplier to the outer multiplier of its stabilizer cosets."""
+    """Project a multiplier to the outer multiplier of its stabilizer cosets.
+
+    A family over other sections than ``frs0(a)`` raises ``ValueError``
+    before it is projected.  A projection that is not an outer multiplier
+    raises ``ValueError`` when ``mu`` is not a multiplier of ``a``, and
+    ``TheoryViolation`` when it is; that check runs only after the
+    projection failed, so valid input pays nothing for it.
+    """
+    if mu.sections != frs0(a):
+        raise ValueError(f"{mu!r} is not defined over the sections of frs0 of {a!r}")
     om = _project(a, mu)
-    if not is_valid_outer_multiplier(a, om):  # pragma: no cover - theory
-        raise TheoryViolation(f"projection of {mu!r} is not an outer multiplier")
+    if not is_valid_outer_multiplier(a, om):
+        if not is_valid_multiplier(a, mu):
+            raise ValueError(f"{mu!r} is not a multiplier of {a!r}")
+        raise TheoryViolation(  # pragma: no cover - theory
+            f"projection of {mu!r} is not an outer multiplier"
+        )
     return om
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from operator import floordiv, itemgetter
+from operator import itemgetter
 from typing import Optional
 
 from .core import SRing, _per_ring, class_stabilizer
@@ -79,24 +79,26 @@ def identity_similarity(a: SRing) -> Similarity:
 def _constants(a: SRing) -> bytes | tuple[int, ...]:
     """The structure constants of ``a`` as one flat sequence.
 
-    Entry ``(i * r + j) * r + k`` is the coefficient of X_k in X_i * X_j.
-    It counts the pairs (x, y) with x in X_i, y in X_j and x + y in X_k,
-    divided by |X_k|, since every z in X_k is hit equally often.  So it is
-    at most |X_i|, below n when n > 1, and the table is ``bytes`` when
-    n <= 256: one byte per constant where a tuple keeps an 8-byte pointer.
-    Past 256 it is a tuple.  Indexing ``bytes`` is slower than indexing a
-    tuple, so the similarity search reads a tuple copy it does not keep
-    (``_search_setup``).
+    Entry ``(i * r + j) * r + k`` is the coefficient of X_k in X_i * X_j,
+    the number of x in X_i with z - x in X_j for any z in X_k: in an S-ring
+    that number is the same at every z of X_k.  So one residue per class,
+    z = min(X_k), counts the pairs (class of x, class of z - x) over all x,
+    r * n steps in all.  A constant is at most |X_i|, below n when n > 1,
+    and the table is ``bytes`` when n <= 256: one byte per constant where a
+    tuple keeps an 8-byte pointer.  Past 256 it is a tuple.  Indexing
+    ``bytes`` is slower than indexing a tuple, so the similarity search
+    reads a tuple copy it does not keep (``_search_setup``).
     """
     n, r, cl = a.n, a.rank, a.class_of
-    counts = [0] * (r * r * r)
-    for x in range(n):
-        base = cl[x] * r
-        # cl[x:] + cl[:x] lists class_of[x + y] for y = 0..n-1
-        for j, k in zip(cl, cl[x:] + cl[:x]):
-            counts[(base + j) * r + k] += 1
-    sizes = [len(c) for c in a.classes] * (r * r)
-    return (bytes if n <= 256 else tuple)(map(floordiv, counts, sizes))
+    table = bytearray(r**3) if n <= 256 else [0] * r**3
+    rows = [i * r * r for i in cl]
+    cols = [j * r for j in cl]
+    for k, cls in enumerate(a.classes):
+        z = cls[0]
+        # cols[z::-1] + cols[:z:-1] lists cols[z - x] for x = 0..n-1
+        for i, j in zip(rows, cols[z::-1] + cols[:z:-1]):
+            table[i + j + k] += 1
+    return bytes(table) if n <= 256 else tuple(table)
 
 
 def is_similarity(a: SRing, b: SRing, class_map: tuple[int, ...]) -> bool:

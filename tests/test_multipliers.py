@@ -147,6 +147,22 @@ def test_theta_guard_runs_on_every_call_and_every_image(monkeypatch):
     assert report.theta_image_order == 4
 
 
+def test_theta_refuses_bad_input_as_bad_input():
+    # a multiplier of another ring over Z_12, whose sections are not those
+    # of frs0(a), and a family over frs0(a) with a non-unit: both are bad
+    # input, not a broken theorem
+    a = cyclotomic_sring(12, [5])
+    other = mult_group(cyclotomic_sring(12, [7]))[1]
+    with pytest.raises(ValueError, match="is not defined over the sections of frs0"):
+        theta(a, other)
+    mu = mult_group(a)[0]
+    s = next(s for s in mu.sections if s.m > 1)
+    bad = Multiplier((t, stab, 0 if t == s else k) for t, stab, k in mu.entries)
+    assert not is_valid_multiplier(a, bad)
+    with pytest.raises(ValueError, match="is not a multiplier of"):
+        theta(a, bad)
+
+
 def test_is_separable_on_named_instances(cyc5, units8, units4, rank2_4):
     for a in (cyc5, units8, units4, rank2_4):
         decided, report = is_separable(a)

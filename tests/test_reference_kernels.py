@@ -43,7 +43,10 @@ reached afterwards, with ``_stabilize_partition`` for its start; and of
 walked every leaf of the search for the similarities of a ring to itself
 and to another ring; and of ``oracle.verify_isomorphism``, which compared
 the two sides of f(X + y) = phi(X) + f(y) as sets for every class X and
-every y.  They are kept here as test oracles only.
+every y; and ``core._split`` itself, the one full refinement round with
+which ``SRing._check_ring`` tested stability before it refined through
+the splitter queue of ``core._wl_stabilize``.  They are kept here as test
+oracles only.
 
 The per-ring memos of ``similarities`` of a ring to itself, of
 ``oracle._realized``, of ``fs_of`` and of ``similarity_from_outer`` are
@@ -59,8 +62,8 @@ import re
 from functools import lru_cache, partial
 from itertools import compress, permutations
 from math import gcd
-from operator import add
-from typing import Optional
+from operator import add, floordiv
+from typing import Optional, Sequence
 
 import sring.multipliers
 import sring.oracle
@@ -109,7 +112,7 @@ from sring import (
     theta,
     validate,
 )
-from sring.core import _class_stabilizer, _split, _wl_stabilize, sections_lattice
+from sring.core import _class_stabilizer, _wl_stabilize, sections_lattice
 from sring.duality import _power_table
 from sring.errors import NotInverseClosed, NotMultiplicativelyClosed
 from sring.modarith import divisors, subgroup, unit_mod, unit_subgroups, units
@@ -178,6 +181,46 @@ def _wl_stabilize_pairwise(n: int, class_of: list[int]) -> list[list[int]]:
         if len(ids) == r:
             return classes
         class_of = new_class_of
+
+
+def _split(
+    n: int, class_of: Sequence[int], stab: Sequence[int]
+) -> tuple[list[int], int]:
+    """One full refinement round: new class ids by first occurrence, and their number.
+
+    ``SRing._check_ring`` validated with it: a partition with {0} a class
+    and inverse-closed classes is an S-ring exactly when the round splits
+    nothing.
+
+    The signature of z is its class, the class of -z and the sorted codes
+    ``class_of[x] * r + class_of[z - x]`` over all x.  The number of codes
+    (i, j) is the coefficient of z in X_i * X_j, so two residues share a
+    signature exactly when they share a class, the class of their negation
+    and every coefficient of every class product.
+
+    ``stab`` is ``_class_stabilizer(n, class_of)``, and residues in one of
+    its orbits share a signature, so only the smallest element of each
+    orbit computes one and the rest of the orbit copies its id.  For k in
+    ``stab``, x -> kx permutes the x of the code list, and ``class_of`` is
+    equal on x and kx and on z - x and k(z - x), so the codes of kz are
+    those of z; k also fixes the class of z and of -z.  This holds for any
+    partition, S-ring or not.  The smallest element of an orbit is the
+    first one a loop over 0..n-1 reaches, so the ids, numbered by first
+    occurrence, are those that a signature for every residue would give.
+    """
+    cl = list(class_of)
+    r = max(cl) + 1
+    row = [c * r for c in cl]
+    ids: dict[tuple, int] = {}
+    new_class_of = [-1] * n
+    for z in range(n):
+        if new_class_of[z] < 0:
+            # cl[z::-1] + cl[:z:-1] lists class_of[z - x] for x = 0..n-1
+            key = (cl[z], cl[-z], *sorted(map(add, row, cl[z::-1] + cl[:z:-1])))
+            i = ids.setdefault(key, len(ids))
+            for k in stab:
+                new_class_of[k * z % n] = i
+    return new_class_of, len(ids)
 
 
 def _wl_stabilize_by_rounds(n: int, class_of: list[int]) -> list[list[int]]:
@@ -770,10 +813,15 @@ def test_class_stabilizer_matches_trial_of_every_unit():
 
 
 def test_split_matches_every_residue_on_ring_partitions():
-    grown = 0
+    grown = unstable = 0
     for n, cl in _ring_partitions():
         grown += len(_assert_split_matches(n, cl)) > 1
-    assert grown > 1000
+        # the stability verdict of the splitter queue, which validation
+        # reads, is that of one full round
+        stable = _split(n, cl, _class_stabilizer(n, cl))[1] == len(set(cl))
+        assert (len(_wl_stabilize(n, cl)) == len(set(cl))) == stable, (n, cl)
+        unstable += not stable
+    assert grown > 1000 and unstable > 1000
 
 
 def test_split_matches_every_residue_when_class_of_1_moves_classes():
@@ -1186,6 +1234,29 @@ def test_structure_constant_table_matches_product_counts():
     assert max(_constants(rank2_sring(257))) == 256
 
 
+def _constants_by_pairs(a: SRing) -> bytes | tuple[int, ...]:
+    """The earlier ``similarities._constants``: every pair (x, y) counted at
+    x + y, then each count divided by the size of the class of x + y."""
+    n, r, cl = a.n, a.rank, a.class_of
+    counts = [0] * (r * r * r)
+    for x in range(n):
+        base = cl[x] * r
+        # cl[x:] + cl[:x] lists class_of[x + y] for y = 0..n-1
+        for j, k in zip(cl, cl[x:] + cl[:x]):
+            counts[(base + j) * r + k] += 1
+    sizes = [len(c) for c in a.classes] * (r * r)
+    return (bytes if n <= 256 else tuple)(map(floordiv, counts, sizes))
+
+
+def test_structure_constant_table_matches_every_pair_count():
+    # one residue per class against every pair (x, y), on every ring with
+    # n <= 24 and on rings of rank 64 and 121 and past n = 256
+    rings = [a for n in range(1, 25) for a in enumerate_srings(n)]
+    rings += [full_sring(64), cyclotomic_sring(240, [-1]), cyclotomic_sring(512, [3])]
+    for a in rings:
+        assert _constants.__wrapped__(a) == _constants_by_pairs(a), a
+
+
 def test_self_similarities_match_vector_search():
     # Every ring with n <= 20 and the two smallest non-separable witnesses:
     # the same similarities in the same order.
@@ -1453,8 +1524,12 @@ def _project_by_min(a: SRing, mu: Multiplier) -> Multiplier:
 
 
 def _theta_by_sets(a: SRing, mu: Multiplier) -> Multiplier:
+    if list(mu.sections) != sorted(frs0(a)):
+        raise ValueError(f"{mu!r} is not defined over the sections of frs0 of {a!r}")
     om = _project_by_min(a, mu)
     if not _is_family_by_sets(a, om, _stab_of(a)):
+        if not _is_family_by_sets(a, mu, _trivial):
+            raise ValueError(f"{mu!r} is not a multiplier of {a!r}")
         raise TheoryViolation(f"projection of {mu!r} is not an outer multiplier")
     return om
 
@@ -1510,7 +1585,7 @@ def _result_of(call, *args):
     """The value of the call, or the type and message of the error it raises."""
     try:
         return ("value", call(*args))
-    except SRingError as exc:
+    except (SRingError, ValueError) as exc:
         return (type(exc), str(exc))
 
 
@@ -1610,9 +1685,10 @@ def _faults(fam: Multiplier):
 
 
 def test_public_families_with_faults_match_set_references():
-    # the verdicts of both validators, and theta's result or TheoryViolation,
-    # on families the constructor accepts but the tables do not hold, made
-    # from the first two multipliers and outer multipliers of each ring
+    # the verdicts of both validators, and theta's result or ValueError, on
+    # families the constructor accepts but the tables do not hold, made from
+    # the first two multipliers and outer multipliers of each ring: a family
+    # whose projection fails is not a multiplier, which is bad input
     outcomes = set()
     rings = [a for n in range(1, 17) for a in enumerate_srings(n) if is_quasidense(a)]
     for a in rings + _witnesses()[:1]:
@@ -1628,7 +1704,7 @@ def test_public_families_with_faults_match_set_references():
                 assert result == _result_of(_theta_by_sets, a, bad), (a, bad)
                 outcomes.add((got, result[0]))
     assert {(False, False), (True, False), (False, True)} <= {g for g, _ in outcomes}
-    assert {"value", TheoryViolation} == {r for _, r in outcomes}
+    assert {"value", ValueError} == {r for _, r in outcomes}
 
 
 @pytest.mark.parametrize("rebuild", [similarity_from_outer, _similarity_from_outer_by_scan])

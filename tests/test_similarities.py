@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import re
+import tracemalloc
 
 import pytest
 
@@ -34,6 +35,7 @@ from sring import (
 from sring.modarith import units
 from sring.oracle import enumerate_srings
 from sring.sections import _class_sections
+from sring.similarities import _constants
 
 
 def test_identity_is_a_similarity(cyc5):
@@ -67,6 +69,21 @@ def test_similarities_of_full_ring_67_are_its_66_unit_maps():
     maps = [phi.class_map for phi in similarities(a, a)]
     assert maps == sorted(from_unit(a, k).class_map for k in units(67).elements)
     assert len(maps) == 66
+
+
+def test_structure_constant_table_peaks_near_its_own_size():
+    # rank 128: the bytes table is r^3 = 2,097,152 bytes, built in place in
+    # one buffer of that size; lists of r^3 Python ints would peak past
+    # 30 MB
+    a = full_sring(128)
+    tracemalloc.start()
+    try:
+        table = _constants(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 128**3
+    assert peak <= 3 * 128**3, peak
 
 
 def test_similarities_between_different_rings(cyc5, units4, rank2_4):
