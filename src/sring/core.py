@@ -183,7 +183,10 @@ class SRing:
             j = self.class_of[neg[0]]
             if list(self.classes[j]) != neg:
                 raise NotInverseClosed(f"-1 * {list(cls)} is not a class")
-        if len(_wl_stabilize(n, self.class_of)) == self.rank:
+        classes, stab = _wl_stabilize(n, self.class_of)
+        if len(classes) == self.rank:
+            # nothing split, so the start's class stabilizer is the ring's
+            self._cache["sring.core.class_stabilizer"] = stab
             return
         # Some product is not constant on a class: find the first witness.
         for i in range(self.rank):
@@ -321,8 +324,9 @@ def _class_stabilizer(n: int, class_of: Sequence[int]) -> tuple[int, ...]:
 def class_stabilizer(a: SRing) -> tuple[int, ...]:
     """The units of Z_n that fix every class of ``a``, ascending.
 
-    Computed on first use and kept on the ring.  Validation refines with a
-    copy of its own, which it does not keep.
+    Kept on the ring.  A checked build keeps the group that validation
+    refines with (see ``SRing._check_ring``); any other ring computes it on
+    first use.
     """
     return _class_stabilizer(a.n, a.class_of)
 
@@ -352,8 +356,14 @@ def coset_mins(a: SRing) -> tuple[int, ...]:
 
 def _wl_stabilize(
     n: int, class_of: Sequence[int], stable: Optional[Sequence[int]] = None
-) -> list[list[int]]:
+) -> tuple[list[list[int]], tuple[int, ...]]:
     """Refine a partition of Z_n to the coarsest stable partition below it.
+
+    Returns the classes of that partition and K, the class stabilizer of
+    ``class_of``, ascending (see ``_class_stabilizer``).  K is the class
+    stabilizer of the result too: the result refines ``class_of``, so no
+    unit outside K fixes its classes, and every class it has is a union of
+    K-orbits (below).
 
     A partition is stable when negation maps each class onto a class and
     every product of two class sums is constant on each class; with {0} a
@@ -489,7 +499,7 @@ def _wl_stabilize(
     classes: list[list[int]] = [[] for _ in reps]
     for z, c in enumerate(labels):
         classes[c].append(z)
-    return classes
+    return classes, stab
 
 
 def closure(n: int, seeds: Sequence[Iterable[int]], *, max_n: int = CLOSURE_BOUND) -> SRing:
@@ -517,7 +527,7 @@ def closure(n: int, seeds: Sequence[Iterable[int]], *, max_n: int = CLOSURE_BOUN
     for z in range(n):
         key = (z == 0,) + tuple(z in s for s in seed_sets)
         class_of[z] = ids.setdefault(key, len(ids))
-    classes = _wl_stabilize(n, class_of)
+    classes, _ = _wl_stabilize(n, class_of)
     return SRing(n, classes, check=False)
 
 

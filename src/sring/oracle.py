@@ -170,7 +170,7 @@ def _enumerate_cached(n: int) -> tuple[SRing, ...]:
 def _search(n: int, candidates: Callable) -> list[tuple[tuple[int, ...], ...]]:
     """The sorted class tuples of every ring ``_enumerate_rec`` reaches with
     ``candidates``, from the coarsest S-ring below {0} | Z_n∖{0}."""
-    start = tuple(frozenset(c) for c in _wl_stabilize(n, [min(x, 1) for x in range(n)]))
+    start = tuple(frozenset(c) for c in _wl_stabilize(n, [min(x, 1) for x in range(n)])[0])
     found: set[tuple[tuple[int, ...], ...]] = set()
     _enumerate_rec(n, start, frozenset({_ZERO}), candidates, found)
     return sorted(found)
@@ -246,7 +246,7 @@ def _enumerate_rec(
                 multiple_of[x] = j
         ids: dict[tuple[int, int], int] = {}
         refined_of = [ids.setdefault(key, len(ids)) for key in zip(class_of, multiple_of)]
-        stable = tuple(frozenset(c) for c in _wl_stabilize(n, refined_of, class_of))
+        stable = tuple(frozenset(c) for c in _wl_stabilize(n, refined_of, class_of)[0])
         stable_set = set(stable)
         if cand not in stable_set or not pinned <= stable_set:
             continue

@@ -18,7 +18,6 @@ from .core import (
     SRing,
     _per_ring,
     _wl_stabilize,
-    full_sring,
     generated,
     is_wreath,
     radical,
@@ -56,12 +55,15 @@ class Section(_SectionFields):
     """Nested subgroup pair of Z_n, written by subgroup orders l | u | n.
 
     A tuple underneath, so hashing, equality and the ``(n, l, u)`` order
-    run in C.
+    run in C.  Each field must be an ``int``: a float or a bool is refused
+    with ``NotASection``, like a pair that is not nested.
     """
 
     __slots__ = ()
 
     def __new__(cls, n: int, l: int, u: int) -> "Section":
+        if type(n) is not int or type(l) is not int or type(u) is not int:
+            raise NotASection(f"section orders must be ints, got ({n!r}, {l!r}, {u!r})")
         if n < 1 or l < 1 or u < 1 or u % l or n % u:
             raise NotASection(f"({l}, {u}) is not a section of Z_{n}")
         return super().__new__(cls, n, l, u)
@@ -84,8 +86,13 @@ class ProjClass:
     largest: Optional[Section]
 
 
+@_per_ring
 def ring_sections(a: SRing) -> tuple[Section, ...]:
-    """All sections of Z_n whose endpoints are unions of classes of ``a``."""
+    """All sections of Z_n whose endpoints are unions of classes of ``a``.
+
+    Kept on the ring: ``frs0``, the rank-2 search and the singular witness
+    read this one tuple, and share its ``Section`` objects.
+    """
     return tuple(Section(a.n, l, u) for l, u in sections_lattice(a))
 
 
@@ -178,10 +185,12 @@ def f_unit(s: Section, t: Section) -> int:
 
 @_per_ring
 def _class_sections(a: SRing) -> tuple[Section, ...]:
-    """Each class's generated-over-radical section, in class order."""
-    secs = set(sections_lattice(a))
-    # classes with the same section share one Section for the ring's lifetime
-    made: dict[tuple[int, int], Section] = {}
+    """Each class's generated-over-radical section, in class order.
+
+    The sections are those of ``ring_sections(a)``, so classes with one
+    section share its object.
+    """
+    secs = {(s.l, s.u): s for s in ring_sections(a)}
     out = []
     for cls in a.classes:
         l, u = radical(a.n, cls), generated(a.n, cls)
@@ -189,9 +198,7 @@ def _class_sections(a: SRing) -> tuple[Section, ...]:
             raise TheoryViolation(
                 f"radical/generated pair ({l}, {u}) of {list(cls)} is not a section"
             )
-        if (l, u) not in made:
-            made[l, u] = Section(a.n, l, u)
-        out.append(made[l, u])
+        out.append(secs[l, u])
     return tuple(out)
 
 
@@ -217,15 +224,49 @@ def frs0(a: SRing) -> tuple[Section, ...]:
 
 @_per_ring
 def is_quasidense(a: SRing) -> bool:
-    """True when no section of ``a`` has rank 2 and composite order."""
+    """True when no section of ``a`` has rank 2 and composite order.
+
+    Each section is tested on one class of ``a`` (see
+    ``_restriction_has_rank2``); no restricted ring is built.
+    """
     return _composite_rank2_section(a) is None
 
 
+def _restriction_has_rank2(a: SRing, s: Section) -> bool:
+    """Whether the restriction of ``a`` to ``s``, of order m > 1, has rank 2.
+
+    Let X be the class of n/u, which generates H_u.  H_u and H_l are unions
+    of classes, so X lies in H_u and misses H_l, and its image
+    {x / (n/u) mod m : x in X} is the restriction's class of 1.  The
+    restriction has rank 2 exactly when that class is all of Z_m but 0,
+    that is, when the image has m - 1 elements.  This reads |X| residues.
+    """
+    step, m = a.n // s.u, s.m
+    return len({x // step % m for x in a.classes[a.class_of[step]]}) == m - 1
+
+
 def _composite_rank2_section(a: SRing) -> Optional[Section]:
+    """The first section of ``a`` of composite order whose restriction has
+    rank 2, tested by ``_restriction_has_rank2``, or None."""
     for s in ring_sections(a):
-        if s.m > 1 and not is_prime(s.m) and restrict_to(a, s).rank == 2:
+        if s.m > 1 and not is_prime(s.m) and _restriction_has_rank2(a, s):
             return s
     return None
+
+
+def _restriction_is_full(a: SRing, s: Section) -> bool:
+    """Whether the restriction of ``a`` to ``s`` is the full ring over Z_m.
+
+    The restriction's classes are the images of the classes of ``a`` inside
+    H_u, and x, y in H_u have one image exactly when they share an
+    H_l-coset, that is, when x = y mod n/l.  So every class of the
+    restriction is a singleton exactly when every class of ``a`` inside H_u
+    lies in one H_l-coset.
+    """
+    step_u, step_l = a.n // s.u, a.n // s.l
+    return all(
+        len({x % step_l for x in cls}) == 1 for cls in a.classes if cls[0] % step_u == 0
+    )
 
 
 def singular_witness(a: SRing) -> Optional[tuple[ProjClass, Section]]:
@@ -242,7 +283,7 @@ def singular_witness(a: SRing) -> Optional[tuple[ProjClass, Section]]:
     key = _proj_key(witness)
     members = tuple(t for t in ring_sections(a) if _proj_key(t) == key)
     for t in members:
-        if restrict_to(a, t).rank != 2:  # pragma: no cover - theory
+        if not _restriction_has_rank2(a, t):  # pragma: no cover - theory
             raise SingularConditionViolated(f"{t} is equivalent to {witness} but not rank 2")
     smallest = _unique_extreme(members, smallest=True)
     largest = _unique_extreme(members, smallest=False)
@@ -273,6 +314,11 @@ def s_extension(a: SRing, s: Section) -> SRing:
     cosets generate.  That start refines ``a``, which is stable already, so
     refinement is handed ``a``'s classes and queues only the new parts (see
     ``core._wl_stabilize``).
+
+    The result must split the section fully: its restriction to ``s`` is the
+    full ring over Z_m exactly when each of its classes inside H_u lies in
+    one H_l-coset, which ``_restriction_is_full`` tests on the classes
+    without building the restriction.
     """
     if s.n != a.n or (s.l, s.u) not in sections_lattice(a):
         raise NotASection(f"{s} is not a section of {a!r}")
@@ -285,8 +331,8 @@ def s_extension(a: SRing, s: Section) -> SRing:
         ids.setdefault((c, z % step_l if z % step_u == 0 else -1), len(ids))
         for z, c in enumerate(a.class_of)
     ]
-    result = SRing(n, _wl_stabilize(n, class_of, a.class_of), check=False)
-    if restrict_to(result, s) != full_sring(s.m):  # pragma: no cover - theory
+    result = SRing(n, _wl_stabilize(n, class_of, a.class_of)[0], check=False)
+    if not _restriction_is_full(result, s):  # pragma: no cover - theory
         raise TheoryViolation(f"extension did not fully split the section {s}")
     return result
 

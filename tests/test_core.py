@@ -223,12 +223,9 @@ def test_failed_restriction_build_names_the_section_and_is_not_kept(monkeypatch)
 
 
 def test_class_stabilizer_is_computed_once_per_ring(monkeypatch):
-    # validation refines with a group of its own; the memo computes the
-    # group of a ring once, and rings with one restriction share its group
-    a = cyclotomic_sring(24, [5])
-    s = Section(24, 2, 24)
-    stab = core._class_stabilizer(24, a.class_of)
-    sub = core._class_stabilizer(12, restriction(a, 2, 24).class_of)
+    # a checked build keeps the group its validation refines with, so the
+    # memo of a checked ring computes nothing; an unchecked ring computes
+    # its group on first use, and rings with one restriction share its group
     calls = []
     compute = core._class_stabilizer
 
@@ -237,12 +234,20 @@ def test_class_stabilizer_is_computed_once_per_ring(monkeypatch):
         return compute(n, class_of)
 
     monkeypatch.setattr(core, "_class_stabilizer", counted)
+    core._restricted_ring.cache_clear()
+    a = cyclotomic_sring(24, [5])
+    s = Section(24, 2, 24)
+    assert calls == [24]
     for _ in range(2):
-        assert core.class_stabilizer(a) == stab
-        assert aut_stabilizer(a, s).elements == sub
-    assert calls == [24, 12]
-    dual_sring(a)  # reads the group of a, and refines the dual to check it
+        assert core.class_stabilizer(a) == compute(24, a.class_of)
+        assert aut_stabilizer(a, s).elements == compute(12, restriction(a, 2, 24).class_of)
+    assert calls == [24, 12]  # the checked build of the restriction
+    b = SRing(24, a.classes, check=False)
+    for _ in range(2):
+        assert core.class_stabilizer(b) == core.class_stabilizer(a)
     assert calls == [24, 12, 24]
+    dual_sring(a)  # reads the group of a, and refines the dual to check it
+    assert calls == [24, 12, 24, 24]
 
 
 def test_false_result_is_kept(monkeypatch):

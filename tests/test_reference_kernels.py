@@ -45,8 +45,10 @@ and to another ring; and of ``oracle.verify_isomorphism``, which compared
 the two sides of f(X + y) = phi(X) + f(y) as sets for every class X and
 every y; and ``core._split`` itself, the one full refinement round with
 which ``SRing._check_ring`` tested stability before it refined through
-the splitter queue of ``core._wl_stabilize``.  They are kept here as test
-oracles only.
+the splitter queue of ``core._wl_stabilize``; and of the rank-2 test of
+``sections._composite_rank2_section`` and ``singular_witness`` and the
+full-split guard of ``sections.s_extension``, which built and validated the
+restricted ring.  They are kept here as test oracles only.
 
 The per-ring memos of ``similarities`` of a ring to itself, of
 ``oracle._realized``, of ``fs_of`` and of ``similarity_from_outer`` are
@@ -106,6 +108,7 @@ from sring import (
     refines,
     restrict_similarity,
     restrict_to,
+    ring_sections,
     similarities,
     similarity_from_outer,
     tensor,
@@ -131,7 +134,12 @@ from sring.oracle import (
     phi_infty,
     verify_isomorphism,
 )
-from sring.sections import _class_sections, _proj_key
+from sring.sections import (
+    _class_sections,
+    _proj_key,
+    _restriction_has_rank2,
+    _restriction_is_full,
+)
 from sring.similarities import (
     Similarity,
     _class_fingerprints,
@@ -583,7 +591,7 @@ def test_refinement_matches_pairwise_on_random_partitions():
         n = rng.randrange(1, 60)
         labels = rng.randint(1, min(n, 6))
         class_of = [rng.randrange(labels) for _ in range(n)]
-        assert _wl_stabilize(n, list(class_of)) == _wl_stabilize_pairwise(n, class_of)
+        assert _wl_stabilize(n, list(class_of))[0] == _wl_stabilize_pairwise(n, class_of)
 
 
 def test_refinement_matches_pairwise_on_orbit_unions():
@@ -591,13 +599,13 @@ def test_refinement_matches_pairwise_on_orbit_unions():
     for n in (120, 210):
         for _ in range(3):
             class_of = _orbit_labels(rng, n, rng.randint(2, 4))
-            assert _wl_stabilize(n, list(class_of)) == _wl_stabilize_pairwise(n, class_of)
+            assert _wl_stabilize(n, list(class_of))[0] == _wl_stabilize_pairwise(n, class_of)
 
 
 def test_closure_refinement_matches_pairwise():
     for n in (360, 512):
         class_of = [0 if z == 0 else 1 if z in (1, n - 1) else 2 for z in range(n)]
-        stable = _wl_stabilize(n, list(class_of))
+        stable = _wl_stabilize(n, list(class_of))[0]
         assert stable == _wl_stabilize_pairwise(n, class_of)
         assert closure(n, [{1, n - 1}]) == SRing(n, stable, check=False)
 
@@ -605,7 +613,8 @@ def test_closure_refinement_matches_pairwise():
 def test_refinement_on_gapped_labels():
     # labels 1 and 2 only; 0 and 1 share a class, but -0 = 0 is in it and
     # -1 = 5 is not, so that class splits
-    for kernel in (_wl_stabilize, _wl_stabilize_pairwise, _wl_stabilize_by_rounds):
+    assert _wl_stabilize(6, [2, 2, 1, 2, 2, 1]) == ([[0, 3], [1, 4], [2, 5]], (1,))
+    for kernel in (_wl_stabilize_pairwise, _wl_stabilize_by_rounds):
         assert kernel(6, [2, 2, 1, 2, 2, 1]) == [[0, 3], [1, 4], [2, 5]]
 
 
@@ -615,13 +624,13 @@ def _assert_refinements_match_rounds(calls) -> int:
     with_stable = 0
     for n, class_of, stable in calls:
         expected = _wl_stabilize_by_rounds(n, class_of)
-        assert _wl_stabilize(n, class_of) == expected, (n, class_of)
+        assert _wl_stabilize(n, class_of)[0] == expected, (n, class_of)
         if stable is not None:
             with_stable += 1
             # the caller's partition is stable and the start refines it
             assert _split(n, stable, _class_stabilizer(n, stable))[1] == len(set(stable))
             assert all(len({stable[x] for x in cls}) == 1 for cls in _classes(class_of))
-            assert _wl_stabilize(n, class_of, stable) == expected, (n, class_of, stable)
+            assert _wl_stabilize(n, class_of, stable)[0] == expected, (n, class_of, stable)
     return with_stable
 
 
@@ -667,6 +676,58 @@ def test_s_extension_refinements_match_rounds(monkeypatch):
     assert _assert_refinements_match_rounds(calls) == len(calls) > 0
 
 
+def _restriction_has_rank2_by_restriction(a: SRing, s: Section) -> bool:
+    """The earlier rank-2 test of ``sections._composite_rank2_section`` and
+    ``singular_witness``: build and validate the restriction."""
+    return restrict_to(a, s).rank == 2
+
+
+def _restriction_is_full_by_restriction(a: SRing, s: Section) -> bool:
+    """The earlier full-split guard of ``sections.s_extension``: compare the
+    restriction with the full ring."""
+    return restrict_to(a, s) == full_sring(s.m)
+
+
+def test_section_queries_match_restricted_rings():
+    # every section of order m > 1 of every ring with n <= 36, on fresh
+    # copies, so the restrictions built here stay off the shared rings
+    sections = rank2 = full = 0
+    for n in range(1, 37):
+        for ring in enumerate_srings(n):
+            a = _fresh(ring)
+            for s in ring_sections(a):
+                if s.m == 1:
+                    continue
+                got = _restriction_has_rank2(a, s)
+                assert got == _restriction_has_rank2_by_restriction(a, s), (a, s)
+                split = _restriction_is_full(a, s)
+                assert split == _restriction_is_full_by_restriction(a, s), (a, s)
+                sections, rank2, full = sections + 1, rank2 + got, full + split
+    # both answers occur, and both answers of each
+    assert sections == 12334 and 0 < rank2 < sections and 0 < full < sections
+
+
+def test_extension_guard_matches_restricted_rings(monkeypatch):
+    # each extension that reduce_to_quasidense makes, on every ring with
+    # n <= 36 and the two singular rings of the separability benchmark
+    rings = [a for n in range(1, 37) for a in enumerate_srings(n)]
+    rings += [rank2_sring(120), tensor(rank2_sring(9), cyclotomic_sring(35, [2]))]
+    extensions = []
+    extend = sring.sections.s_extension
+
+    def record(a, s):
+        extensions.append((extend(a, s), s))
+        return extensions[-1][0]
+
+    monkeypatch.setattr(sring.sections, "s_extension", record)
+    for a in rings:
+        reduce_to_quasidense(_fresh(a))
+    assert len(extensions) == 250
+    for result, s in extensions:
+        assert _restriction_is_full(result, s), (result, s)
+        assert _restriction_is_full_by_restriction(result, s), (result, s)
+
+
 def test_closure_refinements_match_rounds():
     # the construct benchmark's closures: closure(n, [{x, -x}]) for the
     # first eight units x
@@ -674,7 +735,7 @@ def test_closure_refinements_match_rounds():
         for x in [x for x in range(1, n) if gcd(x, n) == 1][:8]:
             class_of = [0 if z == 0 else 1 if z in (x, n - x) else 2 for z in range(n)]
             stable = _wl_stabilize_by_rounds(n, class_of)
-            assert _wl_stabilize(n, class_of) == stable, (n, x)
+            assert _wl_stabilize(n, class_of)[0] == stable, (n, x)
             assert closure(n, [{x, n - x}]) == SRing(n, stable, check=False)
 
 
@@ -685,7 +746,10 @@ def test_refinement_matches_rounds_on_random_partitions():
         labels = rng.randint(1, min(n, 6))
         class_of = _relabel(rng.randrange(labels) for _ in range(n))
         stable = _wl_stabilize_by_rounds(n, class_of)
-        assert _wl_stabilize(n, class_of) == stable, (n, class_of)
+        classes, stab = _wl_stabilize(n, class_of)
+        assert classes == stable, (n, class_of)
+        # the start's class stabilizer, returned with the result, is the result's
+        assert stab == _class_stabilizer_by_trial(n, _labels(n, stable)), (n, class_of)
         # split the stable partition again at random and refine the meet
         # with and without the stable partition passed in
         stable_of = _labels(n, stable)
@@ -798,7 +862,7 @@ def _random_refinements():
                 2 * c + (z > 0 and rng.random() < 1 / 3) for z, c in enumerate(a.class_of)
             )
             yield n, split
-            yield n, _labels(n, _wl_stabilize(n, split))
+            yield n, _labels(n, _wl_stabilize(n, split)[0])
 
 
 def test_class_stabilizer_matches_trial_of_every_unit():
@@ -819,7 +883,7 @@ def test_split_matches_every_residue_on_ring_partitions():
         # the stability verdict of the splitter queue, which validation
         # reads, is that of one full round
         stable = _split(n, cl, _class_stabilizer(n, cl))[1] == len(set(cl))
-        assert (len(_wl_stabilize(n, cl)) == len(set(cl))) == stable, (n, cl)
+        assert (len(_wl_stabilize(n, cl)[0]) == len(set(cl))) == stable, (n, cl)
         unstable += not stable
     assert grown > 1000 and unstable > 1000
 
@@ -1319,7 +1383,7 @@ def test_inducing_unit_matches_search_over_all_units():
 
 
 def _stabilize_partition(n: int, classes) -> tuple[frozenset[int], ...]:
-    stable = _wl_stabilize(n, _labels(n, classes))
+    stable = _wl_stabilize(n, _labels(n, classes))[0]
     return tuple(frozenset(c) for c in stable)
 
 
@@ -1362,7 +1426,7 @@ def _coset_rec(a, unit_elems, classes, pinned, out) -> None:
             continue
         ids: dict[tuple[int, bool], int] = {}
         refined_of = [ids.setdefault((c, x in coset), len(ids)) for x, c in enumerate(class_of)]
-        stable = tuple(frozenset(c) for c in _wl_stabilize(n, refined_of, class_of))
+        stable = tuple(frozenset(c) for c in _wl_stabilize(n, refined_of, class_of)[0])
         stable_set = set(stable)
         if coset not in stable_set or not pinned <= stable_set:
             continue
@@ -1412,7 +1476,7 @@ def _enumerate_refining_by_candidate(n: int) -> list[tuple[tuple[int, ...], ...]
             for i, cls in enumerate(classes):
                 for x in cls:
                     refined_of[x] = ids.setdefault((i, x in cand), len(ids))
-            stable = tuple(frozenset(c) for c in _wl_stabilize(n, refined_of))
+            stable = tuple(frozenset(c) for c in _wl_stabilize(n, refined_of)[0])
             stable_set = set(stable)
             if cand not in stable_set or not pinned <= stable_set:
                 continue
@@ -1443,7 +1507,7 @@ def _enumerate_rec_refining_every_candidate(n, classes, pinned, candidates, foun
                 multiple_of[x] = j
         ids: dict[tuple[int, int], int] = {}
         refined_of = [ids.setdefault(key, len(ids)) for key in zip(class_of, multiple_of)]
-        stable = tuple(frozenset(c) for c in _wl_stabilize(n, refined_of, class_of))
+        stable = tuple(frozenset(c) for c in _wl_stabilize(n, refined_of, class_of)[0])
         stable_set = set(stable)
         accepted = cand in stable_set and pinned <= stable_set
         outcomes.append((cand, pinned, accepted))

@@ -9,6 +9,7 @@ import pytest
 from sring import (
     NotASection,
     NotEquivalent,
+    SRing,
     Section,
     f_unit,
     frs0,
@@ -24,6 +25,7 @@ from sring import (
     s_extension,
     singular_witness,
 )
+from sring import core
 from sring.modarith import divisors, unit_mod
 from sring.oracle import enumerate_srings
 from test_reference_kernels import _proj_component
@@ -63,9 +65,23 @@ def test_section_validation():
     ]
 
 
+def test_section_refuses_fields_that_are_not_ints(units8):
+    # 2.0 and True pass the divisibility tests; refused here as bad input,
+    # not later as a TheoryViolation of the restriction built from them
+    for n, l, u in [(8, 2.0, 4), (8, True, 4), (8.0, 2, 4), (8, 2, "4"), (True, 1, 1)]:
+        with pytest.raises(NotASection, match=r"^section orders must be ints, got "):
+            Section(n, l, u)
+    with pytest.raises(NotASection):
+        restrict_to(units8, Section(8, 2.0, 4))
+
+
 def test_ring_sections(cyc5, units8):
     assert {(s.l, s.u) for s in ring_sections(cyc5)} == {(1, 1), (1, 5), (5, 5)}
     assert len(ring_sections(units8)) == 10  # nested pairs from 1|2|4|8
+    # one tuple per ring, whose objects frs0 shares
+    secs = ring_sections(units8)
+    assert ring_sections(units8) is secs
+    assert all(any(s is t for t in secs) for s in frs0(units8))
 
 
 def test_restrict_to_matches_restriction(units8, units4):
@@ -172,6 +188,16 @@ def test_quasidense(cyc5, units8, units4, rank2_4):
     assert not is_quasidense(rank2_4)
     assert not is_quasidense(rank2_sring(6))
     assert is_quasidense(rank2_sring(5))  # prime order is fine
+
+
+def test_is_quasidense_builds_no_restricted_ring():
+    # each section is answered from one class of the ring itself
+    core._restricted_ring.cache_clear()
+    for ring in enumerate_srings(12) + enumerate_srings(24):
+        a = SRing(ring.n, ring.classes, check=False)
+        is_quasidense(a)
+        assert core._restricted_ring.cache_info().misses == 0
+        assert "sring.core.restriction" not in a._cache
 
 
 def test_singular_witness(rank2_4):
