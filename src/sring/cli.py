@@ -6,6 +6,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from typing import Iterable
 
 from .core import SRing, a_subgroups, closure
 from .duality import dual_sring
@@ -23,6 +24,10 @@ from .sections import (
 from .verify import SUITES, run_suite
 
 __all__ = ["AnalysisReport", "analyze", "main"]
+
+# what a subcommand returns: its canonical JSON object, its text report and
+# its exit code; ``main`` prints the object under --json and the text otherwise
+_Result = tuple[dict, str, int]
 
 
 @dataclass(frozen=True)
@@ -96,10 +101,6 @@ def _read_sring(path: str) -> SRing:
     return SRing.from_json_dict(data)
 
 
-def _emit(data: dict) -> None:
-    print(json.dumps(data, sort_keys=True, separators=(",", ":")))
-
-
 def _parse_seed_sets(text: str) -> list[list[int]]:
     if not text.strip():
         return []
@@ -117,120 +118,89 @@ def _section_text(pairs) -> str:
     return " ".join(f"({l},{u})" for l, u in pairs)
 
 
+def _listing(head: str, rows: Iterable[Iterable[Iterable[int]]]) -> str:
+    """``head``, then one indented line per row: its residue lists, each
+    comma-separated, joined by " | "."""
+    lines = [head]
+    lines += ["  " + " | ".join(",".join(map(str, xs)) for xs in row) for row in rows]
+    return "\n".join(lines)
+
+
+def _ring_result(label: str, a: SRing) -> _Result:
+    """A ring as JSON, or as a header and one line per class."""
+    head = f"{label} over Z_{a.n}: rank {a.rank}"
+    return a.to_json_dict(), _listing(head, ([c] for c in a.classes)), 0
+
+
 # -- subcommands ---------------------------------------------------------------
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _cmd_validate(args: argparse.Namespace) -> _Result:
     a = _read_sring(args.input)
-    if args.json:
-        _emit({"ok": True, "n": a.n, "rank": a.rank})
-    else:
-        print(f"ok: S-ring over Z_{a.n} with rank {a.rank}")
-    return 0
+    return {"ok": True, "n": a.n, "rank": a.rank}, f"ok: S-ring over Z_{a.n} with rank {a.rank}", 0
 
 
-def _cmd_closure(args: argparse.Namespace) -> int:
-    seeds = _parse_seed_sets(args.seed_sets)
-    a = closure(args.n, seeds)
-    if args.json:
-        _emit(a.to_json_dict())
-    else:
-        print(f"closure over Z_{a.n}: rank {a.rank}")
-        for cls in a.classes:
-            print("  " + ",".join(str(x) for x in cls))
-    return 0
+def _cmd_closure(args: argparse.Namespace) -> _Result:
+    return _ring_result("closure", closure(args.n, _parse_seed_sets(args.seed_sets)))
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _cmd_analyze(args: argparse.Namespace) -> _Result:
     report = analyze(_read_sring(args.input))
-    if args.json:
-        _emit(report.to_json_dict())
-        return 0
-    print(f"n={report.n} rank={report.rank}")
-    print(f"subgroup orders: {' '.join(str(d) for d in report.subgroups)}")
-    print(f"sections: {report.section_count}")
-    print(f"principal sections: {_section_text(report.principal)}")
-    print(f"distinguished sections: {_section_text(report.distinguished)}")
-    print(f"quasidense: {report.quasidense}")
+    sep = report.separability
+    lines = [
+        f"n={report.n} rank={report.rank}",
+        f"subgroup orders: {' '.join(str(d) for d in report.subgroups)}",
+        f"sections: {report.section_count}",
+        f"principal sections: {_section_text(report.principal)}",
+        f"distinguished sections: {_section_text(report.distinguished)}",
+        f"quasidense: {report.quasidense}",
+    ]
     if report.witness is not None:
         s = report.witness.smallest
-        print(f"singular witness: smallest member ({s.l},{s.u})")
-    sep = report.separability
-    print(
+        lines.append(f"singular witness: smallest member ({s.l},{s.u})")
+    lines.append(
         f"multipliers: {sep.mult_order}, outer: {sep.fmult_order},"
         f" projected: {sep.theta_image_order}"
     )
-    print(f"separable: {sep.separable}")
-    return 0
+    lines.append(f"separable: {sep.separable}")
+    return report.to_json_dict(), "\n".join(lines), 0
 
 
-def _cmd_separability(args: argparse.Namespace) -> int:
+def _cmd_separability(args: argparse.Namespace) -> _Result:
     a = _read_sring(args.input)
     decided, report = is_separable(a)
     data = report.to_json_dict()
-    agrees = True
+    text = f"separable: {decided}"
     if args.oracle:
-        forced = is_separable_bruteforce(a)
-        agrees = forced == decided
-        data["oracle"] = forced
-        data["agrees"] = agrees
-    if args.json:
-        _emit(data)
-    else:
-        print(f"separable: {decided}")
-        if args.oracle:
-            print(f"oracle: {data['oracle']} ({'agrees' if agrees else 'DISAGREES'})")
-    return 0 if agrees else 1
+        data["oracle"] = forced = is_separable_bruteforce(a)
+        data["agrees"] = agrees = forced == decided
+        text += f"\noracle: {forced} ({'agrees' if agrees else 'DISAGREES'})"
+    return data, text, 0 if data.get("agrees", True) else 1
 
 
-def _cmd_dual(args: argparse.Namespace) -> int:
-    d = dual_sring(_read_sring(args.input))
-    if args.json:
-        _emit(d.to_json_dict())
-    else:
-        print(f"dual S-ring over Z_{d.n}: rank {d.rank}")
-        for cls in d.classes:
-            print("  " + ",".join(str(x) for x in cls))
-    return 0
+def _cmd_dual(args: argparse.Namespace) -> _Result:
+    return _ring_result("dual S-ring", dual_sring(_read_sring(args.input)))
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
+def _cmd_enumerate(args: argparse.Namespace) -> _Result:
     rings = enumerate_srings(args.n, max_n=args.max_n)
-    witnesses = []
+    data = {"n": args.n, "count": len(rings), "srings": [a.to_json_dict() for a in rings]}
+    text = _listing(f"{len(rings)} S-rings over Z_{args.n}", (a.classes for a in rings))
     if args.report_nonseparable:
         witnesses = [a for a in rings if not is_separable(a)[0]]
-    if args.json:
-        data = {
-            "n": args.n,
-            "count": len(rings),
-            "srings": [a.to_json_dict() for a in rings],
-        }
-        if args.report_nonseparable:
-            data["nonseparable"] = [a.to_json_dict() for a in witnesses]
-        _emit(data)
-        return 0
-    print(f"{len(rings)} S-rings over Z_{args.n}")
-    for a in rings:
-        print("  " + " | ".join(",".join(str(x) for x in cls) for cls in a.classes))
-    if args.report_nonseparable:
-        print(f"non-separable: {len(witnesses)}")
-        for a in witnesses:
-            print(
-                "  " + " | ".join(",".join(str(x) for x in cls) for cls in a.classes)
-            )
-    return 0
+        data["nonseparable"] = [a.to_json_dict() for a in witnesses]
+        text += "\n" + _listing(f"non-separable: {len(witnesses)}", (a.classes for a in witnesses))
+    return data, text, 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> _Result:
     result = run_suite(args.suite, args.max_n)
-    if args.json:
-        _emit(result.to_json_dict())
-    else:
-        for check in result.checks:
-            mark = "ok  " if check.passed else "FAIL"
-            print(f"{mark} {result.suite} {check.name}: {check.detail}")
-        print(f"{result.suite}: {'passed' if result.passed else 'FAILED'}")
-    return 0 if result.passed else 1
+    lines = [
+        f"{'ok  ' if c.passed else 'FAIL'} {result.suite} {c.name}: {c.detail}"
+        for c in result.checks
+    ]
+    lines.append(f"{result.suite}: {'passed' if result.passed else 'FAILED'}")
+    return result.to_json_dict(), "\n".join(lines), 0 if result.passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -300,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        data, text, code = args.func(args)
     except LimitExceeded as exc:
         print(f"limit exceeded: {exc}", file=sys.stderr)
         return 3
@@ -313,6 +283,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    print(json.dumps(data, sort_keys=True, separators=(",", ":")) if args.json else text)
+    return code
 
 
 if __name__ == "__main__":

@@ -120,14 +120,16 @@ class SRing:
 
     Classes are sorted internally and listed by smallest element, so equal
     rings compare equal.  A checked build refuses an order or an element
-    that is not an int with ``ValidationError``.  Pass ``check=False`` only
-    for partitions of ints already known to satisfy the ring axioms.
+    that is not an int, or a class that lists an element twice, with
+    ``ValidationError``.  Pass ``check=False`` only for partitions of ints
+    already known to satisfy the ring axioms.
     """
 
     def __init__(self, n: int, classes: Iterable[Iterable[int]], *, check: bool = True):
         if check:
             classes = [list(c) for c in classes]
             _require_integers(n, classes)
+            _require_distinct(classes)
         self.n = int(n)
         if self.n < 1:
             raise NotAPartition(f"group order must be positive, got {n}")
@@ -177,17 +179,25 @@ class SRing:
         return tuple(_convolve(self.n, self.classes[i], self.classes[j]))
 
     def _check_ring(self) -> None:
+        """Refine the classes; a ring is the partition that nothing splits.
+
+        Inverse closure is scanned only after a split, since it can fail
+        only then.  A partition that refinement leaves whole is stable, so
+        negation maps each class onto a class.  Refinement that stops early
+        leaves every class one orbit of the class stabilizer K, and -Kx =
+        K(-x) is an orbit, so again a class.  After a split the scan runs
+        ahead of the search for a class product that is not constant.
+        """
         n = self.n
-        for i, cls in enumerate(self.classes):
-            neg = sorted((-x) % n for x in cls)
-            j = self.class_of[neg[0]]
-            if list(self.classes[j]) != neg:
-                raise NotInverseClosed(f"-1 * {list(cls)} is not a class")
         classes, stab = _wl_stabilize(n, self.class_of)
         if len(classes) == self.rank:
             # nothing split, so the start's class stabilizer is the ring's
             self._cache["sring.core.class_stabilizer"] = stab
             return
+        for cls in self.classes:
+            neg = sorted((-x) % n for x in cls)
+            if list(self.classes[self.class_of[neg[0]]]) != neg:
+                raise NotInverseClosed(f"-1 * {list(cls)} is not a class")
         # Some product is not constant on a class: find the first witness.
         for i in range(self.rank):
             for j in range(i, self.rank):
@@ -208,19 +218,16 @@ class SRing:
         return {"n": self.n, "classes": [list(c) for c in self.classes]}
 
     @classmethod
-    def from_json_dict(cls, data: dict, *, check: bool = True) -> "SRing":
+    def from_json_dict(cls, data: dict) -> "SRing":
+        """The checked build of a JSON object.  Its types are checked before
+        the build, which could not iterate a ``classes`` such as 5."""
         try:
             n = data["n"]
             classes = data["classes"]
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed S-ring object: {exc}") from exc
         _require_integers(n, classes)
-        for c in classes:
-            if len(set(c)) != len(c):
-                counts = Counter(c)
-                x = next(x for x in c if counts[x] > 1)
-                raise ValidationError(f"element {x} appears twice in the class {c}")
-        return cls(n, classes, check=check)
+        return cls(n, classes)
 
 
 def _is_int(x: object) -> bool:
@@ -246,12 +253,23 @@ def _require_integers(n: object, classes: object) -> None:
         raise ValidationError("classes must be a list of lists of integers")
 
 
+def _require_distinct(classes: list[list[int]]) -> None:
+    """Refuse a class that lists an element twice, naming the first such
+    value; a set would silently drop the repeat."""
+    for c in classes:
+        if len(set(c)) != len(c):
+            counts = Counter(c)
+            x = next(x for x in c if counts[x] > 1)
+            raise ValidationError(f"element {x} appears twice in the class {c}")
+
+
 def validate(n: int, classes: Iterable[Iterable[int]]) -> SRing:
     """Check the S-ring axioms and return the canonical representation.
 
     Raises ValidationError for an order or an element that is not an int,
-    else NotAPartition, MissingIdentityClass, NotInverseClosed or
-    NotMultiplicativelyClosed, naming the first violating witness.
+    or a class that lists an element twice, else NotAPartition,
+    MissingIdentityClass, NotInverseClosed or NotMultiplicativelyClosed,
+    naming the first violating witness.
     """
     return SRing(n, classes, check=True)
 

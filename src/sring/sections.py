@@ -272,14 +272,16 @@ def _restriction_is_full(a: SRing, s: Section) -> bool:
 def singular_witness(a: SRing) -> Optional[tuple[ProjClass, Section]]:
     """A projective class witnessing non-quasidensity, with its smallest member.
 
-    Returns None for quasidense rings.  Otherwise asserts the two structure
+    Returns None for quasidense rings, read through the ``is_quasidense``
+    memo, so the quasidense reduct that ends a reduction is not scanned
+    again by the separability test.  Otherwise asserts the two structure
     conditions on the smallest/largest pair of the class: the ring is a
     wreath product over both bracketing sections, and the span between them
     decomposes as a tensor product.
     """
-    witness = _composite_rank2_section(a)
-    if witness is None:
+    if is_quasidense(a):
         return None
+    witness = _composite_rank2_section(a)
     key = _proj_key(witness)
     members = tuple(t for t in ring_sections(a) if _proj_key(t) == key)
     for t in members:

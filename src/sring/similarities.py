@@ -519,6 +519,12 @@ def similarity_from_outer(a: SRing, om: Multiplier) -> Similarity:
     class.  A family with a non-unit entry is refused with ``ValueError``.
     The class map is kept on the ring per unit vector (``_outer_map``);
     each call returns a new ``Similarity``.
+
+    When the classwise images do not form a similarity, ``om`` is tested
+    as an outer multiplier: a family that is not one is bad input
+    (``ValueError``); a valid one that fails is a broken theorem
+    (``ReconstructionFailed``).  The test runs only after the similarity
+    check failed, so valid input pays nothing for it.
     """
     if not is_quasidense(a):
         raise ValueError("reconstruction requires a quasidense ring")
@@ -528,7 +534,13 @@ def similarity_from_outer(a: SRing, om: Multiplier) -> Similarity:
     for s, _, k in om.entries:
         if gcd(k, s.m) != 1:
             raise ValueError(f"{k} is not a unit modulo {s.m} on {s}")
-    return Similarity(a, a, _outer_map(a, om.canonical_vector()))
+    try:
+        cmap = _outer_map(a, om.canonical_vector())
+    except ReconstructionFailed:
+        if not is_valid_outer_multiplier(a, om):
+            raise ValueError(f"{om!r} is not an outer multiplier of {a!r}") from None
+        raise  # pragma: no cover - theory
+    return Similarity(a, a, cmap)
 
 
 @_per_ring

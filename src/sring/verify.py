@@ -80,22 +80,35 @@ def _describe(a: SRing) -> str:
 
 
 def _sweep(
-    suite: str, max_n: int, limit: int, ns: Iterable[int], body: Callable[[int], str]
+    suite: str,
+    max_n: int,
+    limit: int,
+    check: Callable[[SRing], None],
+    ns: Iterable[int] | None = None,
+    keep: Callable[[SRing], bool] | None = None,
+    noun: str = "rings",
 ) -> SuiteResult:
-    """Run ``body`` on each n of ``ns``, one check each.
+    """Run ``check`` on every enumerated ring over Z_n, one ``Check`` per n.
 
+    ``ns`` defaults to 1, ..., ``max_n``.  Only the rings that ``keep``
+    accepts, if given, are checked.  An n passes with the detail "N rings"
+    (``noun``), N the number of rings checked, and fails with the message
+    of the first ``_Failure`` that ``check`` raises, or of an ``SRingError``.
     ``limit`` is the largest n every search of the suite accepts; a larger
     ``max_n`` raises ``LimitExceeded`` before any n is checked.
     """
     if max_n > limit:
         raise LimitExceeded(f"suite {suite} up to n = {max_n} exceeds the bound {limit}")
-    ns = list(ns)
+    ns = list(range(1, max_n + 1) if ns is None else ns)
     if not ns:
         raise ValueError(f"suite {suite} checks no n up to {max_n}")
     checks = []
     for n in ns:
         try:
-            passed, detail = True, body(n)
+            rings = [a for a in enumerate_srings(n) if keep is None or keep(a)]
+            for a in rings:
+                check(a)
+            passed, detail = True, f"{len(rings)} {noun}"
         except _Failure as f:
             passed, detail = False, str(f)
         except LimitExceeded:
@@ -109,65 +122,49 @@ def _sweep(
 def suite_axioms(max_n: int = 24) -> SuiteResult:
     """Every enumerated ring validates, closes to itself, and restricts cleanly."""
 
-    def body(n: int) -> str:
-        rings = enumerate_srings(n)
-        for a in rings:
-            validate(a.n, [list(c) for c in a.classes])
-            if closure(a.n, [list(c) for c in a.classes]) != a:
-                raise _Failure(f"closure not idempotent on {_describe(a)}")
-            for s in ring_sections(a):
-                sub = restriction(a, s.l, s.u)
-                validate(sub.n, [list(c) for c in sub.classes])
-        return f"{len(rings)} rings"
+    def check(a: SRing) -> None:
+        validate(a.n, [list(c) for c in a.classes])
+        if closure(a.n, [list(c) for c in a.classes]) != a:
+            raise _Failure(f"closure not idempotent on {_describe(a)}")
+        for s in ring_sections(a):
+            sub = restriction(a, s.l, s.u)
+            validate(sub.n, [list(c) for c in sub.classes])
 
-    return _sweep("axioms", max_n, ENUMERATE_BOUND, range(1, max_n + 1), body)
+    return _sweep("axioms", max_n, ENUMERATE_BOUND, check)
 
 
 def suite_oracle(max_n: int = 16) -> SuiteResult:
     """The separability criterion agrees with the brute-force isomorphism search."""
 
-    def body(n: int) -> str:
-        count = 0
-        for a in enumerate_srings(n):
-            count += 1
-            decided, _ = is_separable(a)
-            forced = is_separable_bruteforce(a)
-            if decided != forced:
-                raise _Failure(
-                    f"criterion says {decided}, oracle says {forced} on {_describe(a)}"
-                )
-        return f"{count} rings"
+    def check(a: SRing) -> None:
+        decided, _ = is_separable(a)
+        forced = is_separable_bruteforce(a)
+        if decided != forced:
+            raise _Failure(f"criterion says {decided}, oracle says {forced} on {_describe(a)}")
 
-    return _sweep("oracle", max_n, ISOMORPHISM_BOUND, range(1, max_n + 1), body)
+    return _sweep("oracle", max_n, ISOMORPHISM_BOUND, check)
 
 
 def suite_phi_iso(max_n: int = 24) -> SuiteResult:
     """Similarities of a quasidense ring biject with outer multiplier families."""
 
-    def body(n: int) -> str:
-        count = 0
-        for a in enumerate_srings(n):
-            if not is_quasidense(a):
-                continue
-            count += 1
-            sims = similarities(a, a)
-            outers = fmult_group(a)
-            if len(sims) != len(outers):
-                raise _Failure(
-                    f"{len(sims)} similarities vs {len(outers)} outer multipliers"
-                    f" on {_describe(a)}"
-                )
-            for phi in sims:
-                if similarity_from_outer(a, fs_of(a, phi)).class_map != phi.class_map:
-                    raise _Failure(f"round trip broke a similarity on {_describe(a)}")
-            for om in outers:
-                if fs_of(a, similarity_from_outer(a, om)) != om:
-                    raise _Failure(
-                        f"round trip broke an outer multiplier on {_describe(a)}"
-                    )
-        return f"{count} quasidense rings"
+    def check(a: SRing) -> None:
+        sims = similarities(a, a)
+        outers = fmult_group(a)
+        if len(sims) != len(outers):
+            raise _Failure(
+                f"{len(sims)} similarities vs {len(outers)} outer multipliers on {_describe(a)}"
+            )
+        for phi in sims:
+            if similarity_from_outer(a, fs_of(a, phi)).class_map != phi.class_map:
+                raise _Failure(f"round trip broke a similarity on {_describe(a)}")
+        for om in outers:
+            if fs_of(a, similarity_from_outer(a, om)) != om:
+                raise _Failure(f"round trip broke an outer multiplier on {_describe(a)}")
 
-    return _sweep("phi-iso", max_n, ENUMERATE_BOUND, range(1, max_n + 1), body)
+    return _sweep(
+        "phi-iso", max_n, ENUMERATE_BOUND, check, keep=is_quasidense, noun="quasidense rings"
+    )
 
 
 def _prime_powers(max_n: int) -> Iterator[int]:
@@ -185,52 +182,40 @@ def _prime_powers(max_n: int) -> Iterator[int]:
 def suite_pgroups(max_n: int = 32) -> SuiteResult:
     """Every ring over a cyclic group of prime-power order is separable."""
 
-    def body(n: int) -> str:
-        count = 0
-        for a in enumerate_srings(n):
-            count += 1
-            decided, _ = is_separable(a)
-            if not decided:
-                raise _Failure(f"declared non-separable: {_describe(a)}")
-            if n <= 16 and not is_separable_bruteforce(a):
-                raise _Failure(f"oracle disagrees on {_describe(a)}")
-        return f"{count} rings"
+    def check(a: SRing) -> None:
+        if not is_separable(a)[0]:
+            raise _Failure(f"declared non-separable: {_describe(a)}")
+        if a.n <= 16 and not is_separable_bruteforce(a):
+            raise _Failure(f"oracle disagrees on {_describe(a)}")
 
-    return _sweep("pgroups", max_n, ENUMERATE_BOUND, _prime_powers(max_n), body)
+    return _sweep("pgroups", max_n, ENUMERATE_BOUND, check, _prime_powers(max_n))
 
 
 def suite_duality(max_n: int = 24) -> SuiteResult:
     """Dualizing is a rank-preserving involution that fixes separability."""
 
-    def body(n: int) -> str:
-        count = 0
-        for a in enumerate_srings(n):
-            count += 1
-            d = dual_sring(a)
-            validate(d.n, [list(c) for c in d.classes])
-            if dual_sring(d) != a:
-                raise _Failure(f"dual not involutive on {_describe(a)}")
-            if d.rank != a.rank:
-                raise _Failure(f"dual changed rank on {_describe(a)}")
-            if is_separable(a)[0] != is_separable(d)[0]:
-                raise _Failure(f"dual changed separability on {_describe(a)}")
-            if is_quasidense(a):
-                want = {dual_section(n, s) for s in frs0(a)}
-                if set(frs0(d)) != want:
-                    raise _Failure(
-                        f"distinguished sections do not dualize on {_describe(a)}"
-                    )
-                for s in frs0(a):
-                    mine = set(aut_stabilizer(a, s).elements)
-                    dual = set(aut_stabilizer(d, dual_section(n, s)).elements)
-                    if mine != dual:
-                        raise _Failure(
-                            f"stabilizer at ({s.l},{s.u}) does not dualize"
-                            f" on {_describe(a)}"
-                        )
-        return f"{count} rings"
+    def check(a: SRing) -> None:
+        n = a.n
+        d = dual_sring(a)
+        validate(d.n, [list(c) for c in d.classes])
+        if dual_sring(d) != a:
+            raise _Failure(f"dual not involutive on {_describe(a)}")
+        if d.rank != a.rank:
+            raise _Failure(f"dual changed rank on {_describe(a)}")
+        if is_separable(a)[0] != is_separable(d)[0]:
+            raise _Failure(f"dual changed separability on {_describe(a)}")
+        if not is_quasidense(a):
+            return
+        if set(frs0(d)) != {dual_section(n, s) for s in frs0(a)}:
+            raise _Failure(f"distinguished sections do not dualize on {_describe(a)}")
+        for s in frs0(a):
+            mine = set(aut_stabilizer(a, s).elements)
+            if mine != set(aut_stabilizer(d, dual_section(n, s)).elements):
+                raise _Failure(
+                    f"stabilizer at ({s.l},{s.u}) does not dualize on {_describe(a)}"
+                )
 
-    return _sweep("duality", max_n, ENUMERATE_BOUND, range(1, max_n + 1), body)
+    return _sweep("duality", max_n, ENUMERATE_BOUND, check)
 
 
 def _restricted_class_maps(a: SRing, fine: SRing) -> set[tuple[int, ...]]:
@@ -255,23 +240,19 @@ def _restricted_class_maps(a: SRing, fine: SRing) -> set[tuple[int, ...]]:
 def suite_coset_closure(max_n: int = 12) -> SuiteResult:
     """Isomorphism-realized similarities come from the coset closure."""
 
-    def body(n: int) -> str:
-        count = 0
-        for a in enumerate_srings(n):
-            count += 1
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", CosetClosureNotCoset)
-                fine = coset_closure(a)
-            realized = {phi.class_map for phi in phi_infty(a)}
-            descended = _restricted_class_maps(a, fine)
-            if realized != descended:
-                raise _Failure(
-                    f"{len(realized)} realized vs {len(descended)} descended"
-                    f" similarities on {_describe(a)}"
-                )
-        return f"{count} rings"
+    def check(a: SRing) -> None:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CosetClosureNotCoset)
+            fine = coset_closure(a)
+        realized = {phi.class_map for phi in phi_infty(a)}
+        descended = _restricted_class_maps(a, fine)
+        if realized != descended:
+            raise _Failure(
+                f"{len(realized)} realized vs {len(descended)} descended"
+                f" similarities on {_describe(a)}"
+            )
 
-    return _sweep("coset-closure", max_n, COSET_CLOSURE_BOUND, range(1, max_n + 1), body)
+    return _sweep("coset-closure", max_n, COSET_CLOSURE_BOUND, check)
 
 
 SUITES: dict[str, Callable[..., SuiteResult]] = {

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import io
 import json
 import warnings
@@ -356,3 +357,45 @@ def test_stdin_input(ring_file, capsys, monkeypatch):
     )
     code, out, err = run(capsys, "validate", "-", "--json")
     assert code == 0 and json.loads(out)["ok"] is True
+
+
+# stdout without --json, against the SHA-256 of the text each subcommand
+# prints, so the text reports stay byte-identical as the JSON ones do
+_TEXT_RING = [[0], [1, 2, 5, 7, 10, 11], [3, 6, 9], [4, 8]]
+_TEXT_PINS = [
+    (["validate", "RING"], "bf53f1eef5fb65186c0f9e6e05f72fe764db5b7452aafe044b3704f907f642d5"),
+    (["analyze", "RING"], "97a168d28f2a568449790b6fa8c651a89c18991b43282733dca746fa75664005"),
+    (["dual", "RING"], "82c425e98a4e829d32ef9c54857e4bc3cf94833ce4e99252acc6cc258d5c44d0"),
+    (
+        ["closure", "12", "--seed-sets", "1,11"],
+        "e6958717f209f06a4d088520bc6b8193365aef9f010a7fa2899adadeae5a3628",
+    ),
+    (["separability", "RING"], "32b1633a333ddc92c192a90c615f26765d651ab24a5beae65731994eeb38f70f"),
+    (
+        ["separability", "RING", "--oracle"],
+        "1753dd119d6a01eecab4ca4811c3807be47701200ee6ae9ab47549a7e1f09c9a",
+    ),
+    (["enumerate", "12"], "e72c394421a1a6b7cb3ad1998eccbe61c59434722258aafd92e237c825cf952e"),
+    (
+        ["enumerate", "12", "--report-nonseparable"],
+        "fbf095f49f0bb8f6e87ed0b78f8510c8d6640d710c685da7f0a773b4cb77166e",
+    ),
+    (
+        ["verify", "oracle", "--max-n", "8"],
+        "ffc643a5fe4062f292ce78cd317536cea4f065bd4e0e651e4480fa70414adb66",
+    ),
+    # the one suite that checks only some rings: "N quasidense rings"
+    (
+        ["verify", "phi-iso", "--max-n", "8"],
+        "dc706b1e75b473d4cf1ad3493cf31a0e5234e2d6146f89a640a7e06dfdd03b48",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", _TEXT_PINS, ids=[" ".join(a) for a, _ in _TEXT_PINS])
+def test_text_output_is_unchanged(ring_file, capsys, argv, digest):
+    # the ring over Z_12 is not quasidense, so analyze prints its witness
+    path = ring_file("ring12.json", 12, _TEXT_RING)
+    code, out, err = run(capsys, *[path if a == "RING" else a for a in argv])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out

@@ -349,6 +349,15 @@ def test_duplicate_in_a_class_names_its_first_value():
         SRing.from_json_dict({"n": 4, "classes": [[0], [1, 2, 2, 1], [3]]})
 
 
+def test_checked_build_refuses_a_repeated_element():
+    # a set would drop the repeat and build SRing(4; [[0], [1, 3], [2]])
+    message = "element 3 appears twice in the class [1, 3, 3]"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        validate(4, [[0], [1, 3, 3], [2]])
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        SRing(4, (iter(c) for c in [[0], [1, 3, 3], [2]]))
+
+
 def test_duplicate_check_is_linear():
     c = list(range(20000)) + [19999]
     start = time.perf_counter()

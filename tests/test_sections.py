@@ -16,6 +16,7 @@ from sring import (
     full_sring,
     is_multiple,
     is_quasidense,
+    is_separable,
     principal_sections,
     proj_classes,
     rank2_sring,
@@ -25,7 +26,7 @@ from sring import (
     s_extension,
     singular_witness,
 )
-from sring import core
+from sring import core, sections
 from sring.modarith import divisors, unit_mod
 from sring.oracle import enumerate_srings
 from test_reference_kernels import _proj_component
@@ -198,6 +199,21 @@ def test_is_quasidense_builds_no_restricted_ring():
         is_quasidense(a)
         assert core._restricted_ring.cache_info().misses == 0
         assert "sring.core.restriction" not in a._cache
+
+
+def test_separability_scans_each_quasidense_ring_once(monkeypatch):
+    # singular_witness reads the is_quasidense memo, so the reduct that ends
+    # a reduction is not scanned again when the multipliers are searched
+    scanned = []
+    find = sections._composite_rank2_section
+    monkeypatch.setattr(
+        sections, "_composite_rank2_section", lambda a: scanned.append(a) or find(a)
+    )
+    for ring in enumerate_srings(12):
+        is_separable(SRing(ring.n, ring.classes, check=False))
+    quasidense = [a for a in scanned if find(a) is None]
+    assert len(quasidense) == 32
+    assert len({id(a) for a in quasidense}) == len(quasidense)
 
 
 def test_singular_witness(rank2_4):
