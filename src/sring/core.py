@@ -26,7 +26,7 @@ from .errors import (
     TheoryViolation,
     ValidationError,
 )
-from .modarith import divisors, subgroup
+from .modarith import _adjoin, divisors, subgroup
 
 __all__ = [
     "CLOSURE_BOUND",
@@ -120,15 +120,14 @@ class SRing:
 
     Classes are sorted internally and listed by smallest element, so equal
     rings compare equal.  A checked build refuses an order or an element
-    that is not an int, or a class that lists an element twice, with
-    ``ValidationError``.  Pass ``check=False`` only for partitions of ints
-    already known to satisfy the ring axioms.
+    that is not an int, classes it cannot iterate, or a class that lists an
+    element twice, with ``ValidationError``.  Pass ``check=False`` only for
+    partitions of ints already known to satisfy the ring axioms.
     """
 
     def __init__(self, n: int, classes: Iterable[Iterable[int]], *, check: bool = True):
         if check:
-            classes = [list(c) for c in classes]
-            _require_integers(n, classes)
+            classes = _integer_lists(n, classes)
             _require_distinct(classes)
         self.n = int(n)
         if self.n < 1:
@@ -138,11 +137,7 @@ class SRing:
             raise MissingIdentityClass(
                 f"the class of 0 is {self.classes[0]}, expected (0,)"
             )
-        class_of = [0] * self.n
-        for i, cls in enumerate(self.classes):
-            for x in cls:
-                class_of[x] = i
-        self.class_of = tuple(class_of)
+        self.class_of = tuple(_labels(self.n, self.classes))
         # derived data of this ring, filled by the functions under _per_ring
         self._cache: dict[str, object] = {}
         if check:
@@ -219,15 +214,22 @@ class SRing:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SRing":
-        """The checked build of a JSON object.  Its types are checked before
-        the build, which could not iterate a ``classes`` such as 5."""
+        """The checked build of a JSON object."""
         try:
             n = data["n"]
             classes = data["classes"]
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed S-ring object: {exc}") from exc
-        _require_integers(n, classes)
         return cls(n, classes)
+
+
+def _labels(n: int, classes: Iterable[Iterable[int]]) -> list[int]:
+    """The class index of each residue of Z_n."""
+    class_of = [0] * n
+    for i, cls in enumerate(classes):
+        for x in cls:
+            class_of[x] = i
+    return class_of
 
 
 def _is_int(x: object) -> bool:
@@ -236,21 +238,59 @@ def _is_int(x: object) -> bool:
 
 def _all_of(values: Iterable[object], kind: type) -> bool:
     """Whether every value is a ``kind`` and none is a bool, read from the
-    set of their types in one pass."""
-    return all(issubclass(t, kind) and t is not bool for t in set(map(type, values)))
+    set of their types in one pass; the common case, ``kind`` alone, is
+    one set comparison."""
+    types = set(map(type, values))
+    return types <= {kind} or all(issubclass(t, kind) and t is not bool for t in types)
 
 
-def _require_integers(n: object, classes: object) -> None:
-    """Refuse an order that is not an int, or classes that are not lists of
-    ints: ``int`` would truncate 4.9 to 4, and would read True as 1."""
+def _integer_lists(n: object, classes: object) -> list[list[int]]:
+    """The classes as lists of ints, or ``ValidationError`` for an order that
+    is not an int, then for classes that are not an iterable of iterables
+    of ints: ``int`` would truncate 4.9 to 4, and would read True as 1.  A
+    string or a dict iterates but lists no elements, so it is refused as
+    the classes or as a class, as a number is."""
     if not _is_int(n):
         raise ValidationError(f"group order must be an integer, got {n!r}")
-    if not (
-        isinstance(classes, list)
-        and _all_of(classes, list)
-        and _all_of(chain.from_iterable(classes), int)
-    ):
+    try:
+        lists = [_listed(c) for c in _listed(classes)]
+    except TypeError:
+        lists = None
+    if lists is None or not _all_of(chain.from_iterable(lists), int):
         raise ValidationError("classes must be a list of lists of integers")
+    return lists
+
+
+def _listed(xs: Iterable) -> list:
+    """``xs`` as a list; ``TypeError`` when it is a string, a dict or no
+    iterable."""
+    if isinstance(xs, (str, bytes, dict)):
+        raise TypeError(f"{type(xs).__name__} is not a collection")
+    return list(xs)
+
+
+def _require_int(n: object) -> None:
+    """Refuse an order that is not an int with ``ValueError``: ``int``
+    would truncate 6.5 to 6, and would read True as 1."""
+    if not _is_int(n):
+        raise ValueError(f"group order must be an integer, got {n!r}")
+
+
+def _require_order(n: int) -> None:
+    """Refuse an order that is not a positive int with ``ValueError``."""
+    _require_int(n)
+    if n < 1:
+        raise ValueError(f"group order must be positive, got {n}")
+
+
+def _ints(xs: Iterable[int]) -> list[int]:
+    """``xs`` as a list, or ``ValueError`` naming its first element that is
+    not an int, read from the set of their types in one pass."""
+    xs = list(xs)
+    if not _all_of(xs, int):
+        bad = next(x for x in xs if not _is_int(x))
+        raise ValueError(f"every element must be an integer, got {bad!r}")
+    return xs
 
 
 def _require_distinct(classes: list[list[int]]) -> None:
@@ -267,9 +307,9 @@ def validate(n: int, classes: Iterable[Iterable[int]]) -> SRing:
     """Check the S-ring axioms and return the canonical representation.
 
     Raises ValidationError for an order or an element that is not an int,
-    or a class that lists an element twice, else NotAPartition,
-    MissingIdentityClass, NotInverseClosed or NotMultiplicativelyClosed,
-    naming the first violating witness.
+    classes that cannot be iterated, or a class that lists an element twice,
+    else NotAPartition, MissingIdentityClass, NotInverseClosed or
+    NotMultiplicativelyClosed, naming the first violating witness.
     """
     return SRing(n, classes, check=True)
 
@@ -324,14 +364,10 @@ def _class_stabilizer(n: int, class_of: Sequence[int]) -> tuple[int, ...]:
         if decided[k] or gcd(k, n) != 1:
             continue
         if all(cl[k * x % n] == c for x, c in enumerate(cl)):
-            # add the cosets k^i G until a power of k is back in G; the
-            # powers lie in K, so none of them was ruled out
-            old, p = tuple(group), k
-            while not decided[p]:
-                for g in old:
-                    decided[g * p % n] = 1
-                    group.append(g * p % n)
-                p = p * k % n
+            # the group of G and k lies in K, so none of it was ruled out
+            group = _adjoin(n, group, k)
+            for g in group:
+                decided[g] = 1
         else:
             for g in group:
                 decided[g * k % n] = 1
@@ -530,13 +566,12 @@ def closure(n: int, seeds: Sequence[Iterable[int]], *, max_n: int = CLOSURE_BOUN
     ``LimitExceeded`` when n exceeds ``max_n``, before anything of size n
     is built.
     """
-    if n < 1:
-        raise ValueError(f"group order must be positive, got {n}")
+    _require_order(n)
     if n > max_n:
         raise LimitExceeded(f"closure over Z_{n} exceeds the bound {max_n}")
     seed_sets = []
     for raw in seeds:
-        s = frozenset(int(x) % n for x in raw)
+        s = frozenset(x % n for x in _ints(raw))
         if not s:
             raise ValueError("seed sets must be non-empty")
         seed_sets.append(s)
@@ -621,7 +656,14 @@ def radical(n: int, xs: Iterable[int]) -> int:
     translation is a bijection, so X + n/d lies in X only as X itself.  One
     generator per divisor is tested, not every element of H_d.
     """
-    x = frozenset(int(v) % n for v in xs)
+    _require_int(n)
+    return _radical(n, [v % n for v in _ints(xs)])
+
+
+def _radical(n: int, residues: Iterable[int]) -> int:
+    """``radical`` of residues of Z_n, such as a class of a ring, without
+    the type checks."""
+    x = frozenset(residues)
     if not x:
         raise ValueError("the radical of an empty set is undefined")
     best = 1
@@ -634,10 +676,13 @@ def radical(n: int, xs: Iterable[int]) -> int:
 
 def generated(n: int, xs: Iterable[int]) -> int:
     """Order of the subgroup of Z_n generated by the set."""
-    g = n
-    for v in xs:
-        g = gcd(g, int(v) % n)
-    return n // g
+    _require_int(n)
+    return _generated(n, _ints(xs))
+
+
+def _generated(n: int, xs: Iterable[int]) -> int:
+    """``generated`` without the type checks, for a class of a ring."""
+    return n // gcd(n, *xs)
 
 
 def is_wreath(a: SRing, u: int, l: int) -> bool:
@@ -646,7 +691,7 @@ def is_wreath(a: SRing, u: int, l: int) -> bool:
         raise NotASection(f"({l}, {u}) is not a section of {a!r}")
     step = a.n // u
     return all(
-        radical(a.n, cls) % l == 0 for cls in a.classes if cls[0] % step
+        _radical(a.n, cls) % l == 0 for cls in a.classes if cls[0] % step
     )
 
 
@@ -683,22 +728,19 @@ def rank2_sring(n: int) -> SRing:
 
 def cyclotomic_sring(n: int, unit_gens: Iterable[int]) -> SRing:
     """Orbit partition of the unit subgroup generated by ``unit_gens`` acting on Z_n."""
-    gens = [g % n for g in unit_gens]
-    for g in gens:
+    _require_order(n)
+    group = [1 % n]
+    for g in _ints(unit_gens):
+        g %= n
         if gcd(g, n) != 1:
             raise ValueError(f"{g} is not a unit modulo {n}")
-    group = {1 % n if n > 1 else 0}
-    while True:
-        new = {(a * g) % n for a in group for g in gens} - group
-        if not new:
-            break
-        group |= new
+        group = _adjoin(n, group, g)
     seen: set[int] = set()
     classes = []
     for z in range(n):
         if z in seen:
             continue
-        orbit = frozenset((k * z) % n for k in group) if n > 1 else frozenset({0})
+        orbit = frozenset((k * z) % n for k in group)
         seen |= orbit
         classes.append(orbit)
     return SRing(n, classes, check=True)

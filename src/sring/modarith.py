@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from typing import Collection
 
 __all__ = [
     "CyclicGroup",
@@ -95,18 +96,28 @@ def is_prime(n: int) -> bool:
     return all(n % d for d in range(2, int(n**0.5) + 1))
 
 
-def _mul_closure(m: int, gens: frozenset[int]) -> frozenset[int]:
-    out = {unit_mod(g, m) for g in gens} | {1}
-    while True:
-        new = {unit_mod(a * b, m) for a in out for b in out} - out
-        if not new:
-            return frozenset(out)
-        out |= new
+def _adjoin(m: int, group: Collection[int], k: int) -> list[int]:
+    """The subgroup of U(m) generated by the subgroup ``group`` and the unit
+    ``k``, a residue mod m, listed as the cosets G, kG, k^2 G, ... in turn.
+
+    U(m) is abelian, so the cosets k^i G are disjoint up to the first power
+    of k in G, and their union is closed under products: it is the group
+    generated by G and k.  A power k^i in some k^j G with 0 < j < i would
+    put the earlier power k^(i-j) in G, so testing G alone finds it.
+    """
+    out, p = list(group), k
+    while p not in group:
+        out += [g * p % m for g in group]
+        p = p * k % m
+    return out
 
 
 @lru_cache(maxsize=None)
 def unit_subgroups(m: int) -> tuple[tuple[int, ...], ...]:
-    """All subgroups of the unit group modulo m, each as a sorted element tuple."""
+    """All subgroups of the unit group modulo m, each as a sorted element tuple.
+
+    Every subgroup is reached from {1} by adjoining one unit at a time.
+    """
     base = units(m).elements
     found = {frozenset({1})}
     frontier = [frozenset({1})]
@@ -114,7 +125,7 @@ def unit_subgroups(m: int) -> tuple[tuple[int, ...], ...]:
         sub = frontier.pop()
         for g in base:
             if g not in sub:
-                bigger = _mul_closure(m, sub | {g})
+                bigger = frozenset(_adjoin(m, sub, g))
                 if bigger not in found:
                     found.add(bigger)
                     frontier.append(bigger)

@@ -424,20 +424,16 @@ def is_valid_outer_multiplier(a: SRing, om: Multiplier) -> bool:
     return _is_family(a, om, True)
 
 
-def _project(a: SRing, mu: Multiplier) -> Multiplier:
-    """The family of stabilizer cosets through the units of ``mu``, unchecked.
+def _outer_family(a: SRing, ks: Sequence[int]) -> Multiplier:
+    """The family of class-stabilizer cosets through the unit ``ks[p]`` at
+    the p-th section of ``frs0(a)``, unchecked.
 
-    ``mu`` lists the sections of ``frs0(a)``; the validator rejects a
-    family with a non-unit, whose coset entry is 0.
+    The validator rejects a family with a non-unit, whose coset entry is 0.
     """
-    order = _constraints(a).order
     stabs, canons = _coset_tables(a)
-    entries = []
-    for p, (s, _, k) in enumerate(mu.entries):
-        # entry p of a family over frs0(a) is search section order[p]
-        i = order[p]
-        entries.append((s, stabs[i], canons[i][k % s.m]))
-    return Multiplier._canonical(tuple(entries))
+    # the p-th section of frs0(a) is search section order[p]
+    entries = zip(frs0(a), _constraints(a).order, ks)
+    return Multiplier._canonical(tuple((s, stabs[i], canons[i][k % s.m]) for s, i, k in entries))
 
 
 def theta(a: SRing, mu: Multiplier) -> Multiplier:
@@ -451,7 +447,7 @@ def theta(a: SRing, mu: Multiplier) -> Multiplier:
     """
     if mu.sections != frs0(a):
         raise ValueError(f"{mu!r} is not defined over the sections of frs0 of {a!r}")
-    om = _project(a, mu)
+    om = _outer_family(a, mu.canonical_vector())
     if not is_valid_outer_multiplier(a, om):
         if not is_valid_multiplier(a, mu):
             raise ValueError(f"{mu!r} is not a multiplier of {a!r}")

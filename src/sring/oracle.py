@@ -22,7 +22,16 @@ from itertools import product
 from math import gcd
 from typing import Callable, Iterable, Optional
 
-from .core import SRing, _convolve, _per_ring, _wl_stabilize, refines, validate
+from .core import (
+    SRing,
+    _convolve,
+    _labels,
+    _per_ring,
+    _require_order,
+    _wl_stabilize,
+    refines,
+    validate,
+)
 from .errors import (
     CosetClosureNotCoset,
     IntersectionNotAnSRing,
@@ -70,15 +79,6 @@ class Isomorphism:
 
 
 # -- enumeration of all S-rings ----------------------------------------------
-
-
-def _labels(n: int, classes: Iterable[Iterable[int]]) -> list[int]:
-    """The class index of each residue of Z_n."""
-    class_of = [0] * n
-    for i, cls in enumerate(classes):
-        for x in cls:
-            class_of[x] = i
-    return class_of
 
 
 def _conv_constant_on(n: int, xs: frozenset[int], ys: frozenset[int], cls: frozenset[int]) -> bool:
@@ -257,8 +257,7 @@ def _enumerate_rec(
 
 def enumerate_srings(n: int, *, max_n: int = ENUMERATE_BOUND) -> list[SRing]:
     """Every S-ring over Z_n, canonically sorted."""
-    if n < 1:
-        raise ValueError(f"group order must be positive, got {n}")
+    _require_order(n)
     if max_n < 1:
         raise ValueError(f"size bound must be positive, got {max_n}")
     if n > max_n:

@@ -16,11 +16,11 @@ from typing import NamedTuple, Optional
 
 from .core import (
     SRing,
+    _generated,
     _per_ring,
+    _radical,
     _wl_stabilize,
-    generated,
     is_wreath,
-    radical,
     restriction,
     sections_lattice,
     tensor,
@@ -131,12 +131,13 @@ def _proj_key(s: Section) -> tuple[int, int]:
     return s.l // c, s.u // c
 
 
-def _unique_extreme(members: tuple[Section, ...], *, smallest: bool) -> Optional[Section]:
-    if smallest:
-        cands = [s for s in members if all(is_multiple(t, s) for t in members)]
-    else:
-        cands = [s for s in members if all(is_multiple(s, t) for t in members)]
-    return cands[0] if len(cands) == 1 else None
+def _proj_class(members: tuple[Section, ...]) -> ProjClass:
+    """The class of the sorted ``members``, with its unique smallest member
+    (every member a multiple of it) and its unique largest member (a
+    multiple of every member), or None where there is no unique one."""
+    smallest = [s for s in members if all(is_multiple(t, s) for t in members)]
+    largest = [s for s in members if all(is_multiple(s, t) for t in members)]
+    return ProjClass(members, *(c[0] if len(c) == 1 else None for c in (smallest, largest)))
 
 
 def proj_classes(n: int, sections: tuple[Section, ...] | list[Section]) -> list[ProjClass]:
@@ -151,17 +152,10 @@ def proj_classes(n: int, sections: tuple[Section, ...] | list[Section]) -> list[
         if s.n != n:
             raise ValueError(f"{s} does not live over Z_{n}")
         buckets.setdefault(_proj_key(s), []).append(s)
-    out = []
-    for _, group in sorted(buckets.items(), key=lambda kv: min(kv[1])):
-        members = tuple(sorted(set(group)))
-        out.append(
-            ProjClass(
-                members,
-                _unique_extreme(members, smallest=True),
-                _unique_extreme(members, smallest=False),
-            )
-        )
-    return out
+    return [
+        _proj_class(tuple(sorted(set(group))))
+        for group in sorted(buckets.values(), key=min)
+    ]
 
 
 def f_unit(s: Section, t: Section) -> int:
@@ -193,7 +187,7 @@ def _class_sections(a: SRing) -> tuple[Section, ...]:
     secs = {(s.l, s.u): s for s in ring_sections(a)}
     out = []
     for cls in a.classes:
-        l, u = radical(a.n, cls), generated(a.n, cls)
+        l, u = _radical(a.n, cls), _generated(a.n, cls)
         if (l, u) not in secs:  # pragma: no cover - guaranteed by theory
             raise TheoryViolation(
                 f"radical/generated pair ({l}, {u}) of {list(cls)} is not a section"
@@ -287,8 +281,8 @@ def singular_witness(a: SRing) -> Optional[tuple[ProjClass, Section]]:
     for t in members:
         if not _restriction_has_rank2(a, t):  # pragma: no cover - theory
             raise SingularConditionViolated(f"{t} is equivalent to {witness} but not rank 2")
-    smallest = _unique_extreme(members, smallest=True)
-    largest = _unique_extreme(members, smallest=False)
+    pc = _proj_class(members)
+    smallest, largest = pc.smallest, pc.largest
     if smallest is None or largest is None:
         raise SingularConditionViolated(
             f"no unique smallest/largest member among {members}"
@@ -305,7 +299,7 @@ def singular_witness(a: SRing) -> Optional[tuple[ProjClass, Section]]:
         raise SingularConditionViolated(
             f"no tensor decomposition between {smallest} and {largest}"
         )
-    return ProjClass(members, smallest, largest), smallest
+    return pc, smallest
 
 
 def s_extension(a: SRing, s: Section) -> SRing:

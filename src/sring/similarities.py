@@ -15,10 +15,10 @@ from math import gcd
 from operator import itemgetter
 from typing import Optional
 
-from .core import SRing, _per_ring, class_stabilizer
+from .core import SRing, _per_ring
 from .errors import NoInducingUnit, NotASection, ReconstructionFailed, TheoryViolation
 from .modarith import units
-from .multipliers import Multiplier, is_valid_outer_multiplier
+from .multipliers import Multiplier, _outer_family, is_valid_outer_multiplier
 from .sections import Section, _class_sections, frs0, is_quasidense, restrict_to
 
 __all__ = [
@@ -443,18 +443,16 @@ def _extraction(
     tuple[tuple[int, ...], ...],
     tuple[int, ...],
     tuple[dict[tuple[int, ...], int], ...],
-    tuple[tuple[int, ...], ...],
 ]:
     """For the sections of ``frs0(a)``, in order: each class's restricted class
-    (``_section_class_of``), the rank of the restriction, its class maps with
-    their smallest units, and its class stabilizer."""
+    (``_section_class_of``), the rank of the restriction, and its class maps
+    with their smallest units."""
     secs = frs0(a)
     rings = [restrict_to(a, s) for s in secs]
     return (
         tuple(_section_class_of(a, s) for s in secs),
         tuple(a_s.rank for a_s in rings),
         tuple(map(_unit_maps, rings)),
-        tuple(map(class_stabilizer, rings)),
     )
 
 
@@ -464,8 +462,8 @@ def fs_of(a: SRing, phi: Similarity) -> Multiplier:
     Requires a quasidense ring; every restriction of a similarity of such a
     ring to a distinguished section is induced by a unit.  The units of the
     stabilizer coset at a section are exactly the units inducing the same
-    map, so the smallest inducing unit is the smallest of its coset, and
-    ``frs0`` lists the sections in order: the entries are already canonical.
+    map, so the smallest inducing unit is the smallest of its coset.  The
+    family is built by ``multipliers._outer_family``, as θ builds its own.
     Each restriction is read as ``restrict_similarity`` reads it, without
     building the restricted ``Similarity``.  The units are kept on the ring
     per class map (``_fs_units``); each call returns a new ``Multiplier``.
@@ -484,22 +482,17 @@ def fs_of(a: SRing, phi: Similarity) -> Multiplier:
     return _outer_family(a, ks)
 
 
-def _outer_family(a: SRing, ks: tuple[int, ...]) -> Multiplier:
-    """The family with unit ``ks[i]`` at the i-th section of ``frs0(a)``."""
-    return Multiplier._canonical(tuple(zip(frs0(a), _extraction(a)[3], ks)))
-
-
 @_per_ring
 def _fs_units(a: SRing, class_map: tuple[int, ...]) -> tuple[int, ...]:
     """The smallest unit inducing the class map on each section of
     ``frs0(a)``, checked to form an outer multiplier."""
     ks = []
-    for s, section_class, rank, maps in zip(frs0(a), *_extraction(a)[:3]):
+    for s, section_class, rank, maps in zip(frs0(a), *_extraction(a)):
         k = maps.get(_restricted_map(s, section_class, section_class, class_map, rank))
         if k is None:
             raise NoInducingUnit(f"restriction to {s} is not induced by any unit")
         ks.append(k)
-    if not is_valid_outer_multiplier(a, _outer_family(a, tuple(ks))):  # pragma: no cover - theory
+    if not is_valid_outer_multiplier(a, _outer_family(a, ks)):  # pragma: no cover - theory
         raise TheoryViolation(
             f"extracted family of the class map {class_map} is not an outer multiplier"
         )

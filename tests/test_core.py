@@ -373,6 +373,16 @@ def test_duplicate_check_is_linear():
         (True, [[0]], "group order must be an integer, got True"),
         (4, [[0], [1.9, 2, 3]], "classes must be a list of lists of integers"),
         (4, [[0], [True, 3], [2]], "classes must be a list of lists of integers"),
+        # classes that cannot be iterated, and a string or a dict, which
+        # iterates but lists no elements
+        (4, 5, "classes must be a list of lists of integers"),
+        (4, [[0], 1, [2, 3]], "classes must be a list of lists of integers"),
+        (4, [[0], None], "classes must be a list of lists of integers"),
+        (4.5, 5, "group order must be an integer, got 4.5"),
+        (4, "", "classes must be a list of lists of integers"),
+        (4, {}, "classes must be a list of lists of integers"),
+        (4, [[0], "", [1, 3], [2]], "classes must be a list of lists of integers"),
+        (4, [[0], {}, [1, 3], [2]], "classes must be a list of lists of integers"),
     ],
 )
 def test_checked_build_refuses_non_integers(n, classes, reason):
@@ -381,6 +391,39 @@ def test_checked_build_refuses_non_integers(n, classes, reason):
         validate(n, classes)
     with pytest.raises(ValidationError, match=re.escape(reason)):
         SRing(n, classes)
+    with pytest.raises(ValidationError, match=re.escape(reason)):
+        SRing.from_json_dict({"n": n, "classes": classes})
+
+
+@pytest.mark.parametrize(
+    "fn, args, reason",
+    [
+        (closure, (6, [[1.5]]), "every element must be an integer, got 1.5"),
+        (closure, (True, [[0]]), "group order must be an integer, got True"),
+        (closure, (6.0, [[1]]), "group order must be an integer, got 6.0"),
+        (radical, (6, [1.5, 4]), "every element must be an integer, got 1.5"),
+        (radical, (6.0, [2, 4]), "group order must be an integer, got 6.0"),
+        (generated, (6, [1.5]), "every element must be an integer, got 1.5"),
+        (generated, (True, [0]), "group order must be an integer, got True"),
+        (cyclotomic_sring, (6, [5.0]), "every element must be an integer, got 5.0"),
+        (cyclotomic_sring, (6, [True]), "every element must be an integer, got True"),
+        (cyclotomic_sring, (0, [1]), "group order must be positive, got 0"),
+        (enumerate_srings, (6.0,), "group order must be an integer, got 6.0"),
+        (enumerate_srings, (False,), "group order must be an integer, got False"),
+        # int input keeps its messages
+        (closure, (0, [[1]]), "group order must be positive, got 0"),
+        (closure, (6, [[]]), "seed sets must be non-empty"),
+        (radical, (6, []), "the radical of an empty set is undefined"),
+        (cyclotomic_sring, (6, [2]), "2 is not a unit modulo 6"),
+        (enumerate_srings, (0,), "group order must be positive, got 0"),
+    ],
+    ids=lambda v: getattr(v, "__name__", None),
+)
+def test_numeric_arguments_are_ints(fn, args, reason):
+    # int() would read 1.5 as 1 and True as 1, and a float or zero order
+    # would fail inside the arithmetic
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        fn(*args)
 
 
 def test_checked_build_reads_classes_once(units4):

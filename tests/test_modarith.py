@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -95,6 +97,29 @@ def test_unit_subgroups_against_subset_search(m):
 
     search(0, set(), set())
     assert set(unit_subgroups(m)) == closed
+
+
+def _generated_by(m: int, gens: tuple[int, ...]) -> tuple[int, ...]:
+    """The subgroup of U(m) that ``gens`` generate, by a breadth-first
+    search over products with one generator at a time."""
+    group, frontier = {1}, [1]
+    for x in frontier:
+        for g in gens:
+            y = x * g % m
+            if y not in group:
+                group.add(y)
+                frontier.append(y)
+    return tuple(sorted(group))
+
+
+@pytest.mark.parametrize("m, rank", [(81, 1), (243, 1), (64, 2), (128, 2)])
+def test_unit_subgroups_against_generator_search(m, rank):
+    # U(81) and U(243) are cyclic, so every subgroup is the closure of one
+    # unit; U(64) = C2 x C16 and U(128) = C2 x C32 have rank 2, so every
+    # subgroup is the closure of two units
+    gens = combinations_with_replacement(units(m).elements, rank)
+    want = {_generated_by(m, g) for g in gens}
+    assert unit_subgroups(m) == tuple(sorted(want, key=lambda t: (len(t), t)))
 
 
 def test_cyclotomic_known_values():

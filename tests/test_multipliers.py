@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import gc
+import hashlib
+import json
 import weakref
 from itertools import product
 
@@ -25,9 +27,11 @@ from sring import (
     is_valid_outer_multiplier,
     mult_group,
     rank2_sring,
+    reduce_to_quasidense,
+    tensor,
     theta,
 )
-from sring.modarith import unit_mod, units
+from sring.modarith import unit_mod, unit_subgroups, units
 from sring.multipliers import _is_subsection
 from sring.oracle import enumerate_srings
 from test_reference_kernels import _proj_component
@@ -287,3 +291,30 @@ def test_families_are_freed_without_the_cycle_collector():
         assert [ref() for ref in refs] == [None, None]
     finally:
         gc.enable()
+
+
+def _sha256(obj) -> str:
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_unit_subgroups_and_multiplier_families_are_unchanged():
+    # the SHA-256 of the canonical JSON of the unit subgroups for m < 131,
+    # and of every multiplier and outer multiplier of the quasidense reducts
+    # of the separability benchmark's four rings and of
+    # cyclotomic_sring(720, [7, 11]); the same pins as the CI step "Unit
+    # subgroups and multiplier families are unchanged"
+    subgroups = [unit_subgroups(m) for m in range(1, 131)]
+    assert _sha256(subgroups) == "72e85af526d28850139af766ac73a4edab8ceafe374af47a3d9f782a4f48f445"
+    rings = [
+        cyclotomic_sring(240, [-1]),
+        cyclotomic_sring(210, [-1]),
+        rank2_sring(120),
+        tensor(rank2_sring(9), cyclotomic_sring(35, [2])),
+        cyclotomic_sring(720, [7, 11]),
+    ]
+    families = []
+    for a in rings:
+        r = reduce_to_quasidense(a)[0]
+        families.append([[f.to_json_list() for f in enum(r)] for enum in (mult_group, fmult_group)])
+    assert _sha256(families) == "8336af3500bc4871c2729bc9109b8e54f8e6d1341f4c37f8edbac6be7e629438"

@@ -1734,7 +1734,7 @@ def test_validator_and_projection_match_set_references():
             verdicts.add(got)
             assert _result_of(theta, a, fam) == _result_of(_theta_by_sets, a, fam), (a, fam)
             if all(gcd(rep, s.m) == 1 for s, _, rep in fam.entries):
-                got_om = sring.multipliers._project(a, fam)
+                got_om = sring.multipliers._outer_family(a, fam.canonical_vector())
                 assert got_om.entries == _project_by_min(a, fam).entries, (a, fam)
     assert len(verdicts) == 4
 
